@@ -14,17 +14,15 @@
  * Engine: each application (execution + sweep) is one runner job
  * (--jobs overlaps applications); --sweep-threads selects the host
  * worker pool replaying the sweep within a job (0 = hardware
- * concurrency, 1 = serial online); --delivery selects the
- * runtime->simulator reference delivery shape.  All change wall clock
- * only -- output bytes are identical.  --sweep selects the engine:
+ * concurrency, 1 = serial online).  Both change wall clock only --
+ * output bytes are identical.  --sweep selects the engine:
  * exact (default; the output above), model (reuse-distance analytical
  * predictions, same schema), or both (each point reported from both
  * engines plus the absolute error -- the model-validation artifact).
  *
  * Usage: fig3_working_sets [--procs 32] [--scale 1.0] [--app <name>]
  *                          [--n N] [--sweep exact|model|both]
- *                          [--sweep-threads N] [--jobs N]
- *                          [--delivery batched|direct] [--csv]
+ *                          [--sweep-threads N] [--jobs N] [--csv]
  */
 #include <cstdio>
 #include <memory>
@@ -52,6 +50,8 @@ main(int argc, char** argv)
     cfg.scale = opt.getD("scale", opt.has("quick") ? 0.25 : 1.0);
     cfg.n = opt.getI("n", 0);
     std::string only = opt.getS("app", "");
+    if (opt.reportUnknown())
+        return 2;
     const sim::SweepMode mode = eng.sim.sweep;
     // Which engine the single-value outputs quote (Both's CSV quotes
     // the two side by side; its table shows the exact curves).

@@ -10,11 +10,11 @@
  *    costs the same across the zoo
  *  - Working-set sweep throughput: serial online (BM_SweepAccess) and
  *    the batched capture/replay pipeline (BM_SweepBatched)
- *  - Reference delivery shape under a full Env (BM_Delivery)
+ *  - Batched reference delivery under a full Env (BM_Delivery_Batched)
  *  - Scheduler context-switch cost and quantum sensitivity
- *  - Backend handoff cost (fiber vs thread): ping-pong benchmarks
- *    where two processors alternate via yield and via block/unblock,
- *    so items/sec is context switches per second.  scripts/
+ *  - Fiber handoff cost: ping-pong benchmarks where two processors
+ *    alternate via yield and via block/unblock, so items/sec is
+ *    context switches per second.  scripts/
  *    bench_simcore.py turns these into BENCH_simcore.json and
  *    scripts/bench_memsys.py turns the memory-path ones into
  *    BENCH_memsys.json.
@@ -199,16 +199,15 @@ BM_Broadcast(benchmark::State& state)
 BENCHMARK(BM_Broadcast)->Arg(0)->Arg(1)->Arg(2)->Arg(6)->UseRealTime();
 
 /** End-to-end reference delivery under a full Env + MemSystem: the
- *  instrumented read hook, clock bump, scheduling, and sink delivery.
- *  Compares the call-per-access shape against the batched ring. */
+ *  instrumented read hook, clock bump, scheduling, and the batched
+ *  ring drained into the sink. */
 static void
-deliveryLoop(benchmark::State& state, rt::Delivery d)
+BM_Delivery_Batched(benchmark::State& state)
 {
     const int procs = 4;
     const int refsPerProc = 8192;
     for (auto _ : state) {
-        rt::Env env({rt::Mode::Sim, procs, /*quantum=*/250,
-                     rt::BackendKind::Fiber, d});
+        rt::Env env({rt::Mode::Sim, procs, /*quantum=*/250});
         sim::MachineConfig mc;
         mc.nprocs = procs;
         sim::MemSystem mem(mc);
@@ -222,19 +221,6 @@ deliveryLoop(benchmark::State& state, rt::Delivery d)
         });
     }
     state.SetItemsProcessed(state.iterations() * procs * refsPerProc);
-}
-
-static void
-BM_Delivery_Direct(benchmark::State& state)
-{
-    deliveryLoop(state, rt::Delivery::Direct);
-}
-BENCHMARK(BM_Delivery_Direct);
-
-static void
-BM_Delivery_Batched(benchmark::State& state)
-{
-    deliveryLoop(state, rt::Delivery::Batched);
 }
 BENCHMARK(BM_Delivery_Batched);
 
@@ -261,12 +247,12 @@ BENCHMARK(BM_SchedulerQuantum)->Arg(10)->Arg(50)->Arg(250)->Arg(1000);
  *  each round is advance + unblock(partner) + block(self), i.e. two
  *  context switches per round.  items/sec == switches/sec. */
 static void
-pingPongBlockUnblock(benchmark::State& state, rt::BackendKind kind)
+BM_SchedulerPingPong_Fiber(benchmark::State& state)
 {
     const int rounds = 4096;
     for (auto _ : state) {
         // Quantum never expires: every switch is an explicit handoff.
-        rt::Scheduler s(2, /*quantum=*/1u << 30, kind);
+        rt::Scheduler s(2, /*quantum=*/1u << 30);
         s.run([&](ProcId p) {
             ProcId other = 1 - p;
             for (int i = 0; i < rounds; ++i) {
@@ -279,16 +265,17 @@ pingPongBlockUnblock(benchmark::State& state, rt::BackendKind kind)
     }
     state.SetItemsProcessed(state.iterations() * rounds * 2);
 }
+BENCHMARK(BM_SchedulerPingPong_Fiber)->UseRealTime();
 
 /** Pure handoff cost, yield flavor: equal clock rates make the
  *  smallest-time-first policy alternate the two processors, so each
  *  yield is one context switch. */
 static void
-pingPongYield(benchmark::State& state, rt::BackendKind kind)
+BM_SchedulerYield_Fiber(benchmark::State& state)
 {
     const int rounds = 4096;
     for (auto _ : state) {
-        rt::Scheduler s(2, /*quantum=*/1u << 30, kind);
+        rt::Scheduler s(2, /*quantum=*/1u << 30);
         s.run([&](ProcId p) {
             for (int i = 0; i < rounds; ++i) {
                 s.advance(p, 1);
@@ -298,33 +285,6 @@ pingPongYield(benchmark::State& state, rt::BackendKind kind)
     }
     state.SetItemsProcessed(state.iterations() * rounds * 2);
 }
-
-static void
-BM_SchedulerPingPong_Fiber(benchmark::State& state)
-{
-    pingPongBlockUnblock(state, rt::BackendKind::Fiber);
-}
-BENCHMARK(BM_SchedulerPingPong_Fiber)->UseRealTime();
-
-static void
-BM_SchedulerPingPong_Thread(benchmark::State& state)
-{
-    pingPongBlockUnblock(state, rt::BackendKind::Thread);
-}
-BENCHMARK(BM_SchedulerPingPong_Thread)->UseRealTime();
-
-static void
-BM_SchedulerYield_Fiber(benchmark::State& state)
-{
-    pingPongYield(state, rt::BackendKind::Fiber);
-}
 BENCHMARK(BM_SchedulerYield_Fiber)->UseRealTime();
-
-static void
-BM_SchedulerYield_Thread(benchmark::State& state)
-{
-    pingPongYield(state, rt::BackendKind::Thread);
-}
-BENCHMARK(BM_SchedulerYield_Thread)->UseRealTime();
 
 BENCHMARK_MAIN();

@@ -4,7 +4,7 @@
 Three measurements:
 
  1. Reference cost: the BM_MemSysHit / BM_MemSysMiss / BM_SweepAccess /
-    BM_SweepBatched / BM_Delivery_* / BM_Broadcast microbenchmarks from
+    BM_SweepBatched / BM_Delivery_Batched / BM_Broadcast microbenchmarks from
     bench/micro_simthroughput (each reports references per second;
     ns/ref = 1e9 / that).  BM_MemSysHitProto/<name> and
     BM_MemSysMissProto/<name> repeat the hit/miss measurements under
@@ -12,14 +12,12 @@ Three measurements:
     can be compared across the zoo (BM_MemSysHit/Miss themselves are
     the MESI instances).
  2. End-to-end characterization: wall clock of a full splash2run
-    (FFT, 32 processors) under direct versus batched delivery, best
-    of N.
+    (FFT, 32 processors), best of N.
  3. End-to-end working-set sweep: wall clock of the Figure 3 sweep
     (FFT, 32 processors, 34 configurations + Mattson stacks) with the
-    classic serial online sweep + direct delivery versus the batched
-    capture/replay pipeline across all host cores, best of N.  This is
-    the headline number: the sweep dominates Figure 3 / Table 2
-    turnaround.
+    serial online sweep versus the capture/replay pipeline across all
+    host cores, best of N.  This is the headline number: the sweep
+    dominates Figure 3 / Table 2 turnaround.
 
 Usage: scripts/bench_memsys.py [--build build] [--reps 3] [--n 16]
 Writes BENCH_memsys.json in the repository root.
@@ -49,39 +47,32 @@ def main():
     run_exe = os.path.join(args.build, "src", "splash2run")
     run_args = [run_exe, "--app", "fft", "--procs", "32",
                 "--n", str(args.n)]
-    char_direct = benchlib.time_cmd(
-        run_args + ["--delivery", "direct"], args.reps)
-    char_batched = benchlib.time_cmd(
-        run_args + ["--delivery", "batched"], args.reps)
+    char_seconds = benchlib.time_cmd(run_args, args.reps)
 
     fig3_exe = os.path.join(args.build, "bench", "fig3_working_sets")
     fig3_args = [fig3_exe, "--app", "fft", "--procs", "32",
                  "--n", str(args.n), "--csv"]
     sweep_serial = benchlib.time_cmd(
-        fig3_args + ["--delivery", "direct", "--sweep-threads", "1"],
-        args.reps)
+        fig3_args + ["--sweep-threads", "1"], args.reps)
     sweep_parallel = benchlib.time_cmd(
-        fig3_args + ["--delivery", "batched", "--sweep-threads", "0"],
-        args.reps)
+        fig3_args + ["--sweep-threads", "0"], args.reps)
 
     report = {
         "description": "Memory-path cost: silent-hit fast path (per "
-                       "protocol), batched reference delivery, "
-                       "parallel working-set sweep",
-        "host_cpus": os.cpu_count(),
+                       "protocol), reference delivery, parallel "
+                       "working-set sweep",
+        "provenance": benchlib.provenance(args.build),
         "reference_cost": micro,
         "end_to_end_characterization": {
             "workload": " ".join(run_args[1:]),
             "reps": args.reps,
-            "direct_seconds": char_direct,
-            "batched_seconds": char_batched,
-            "speedup": char_direct / char_batched,
+            "seconds": char_seconds,
         },
         "end_to_end_fig3_sweep": {
             "workload": " ".join(fig3_args[1:]),
             "reps": args.reps,
-            "serial_direct_seconds": sweep_serial,
-            "parallel_batched_seconds": sweep_parallel,
+            "serial_seconds": sweep_serial,
+            "parallel_seconds": sweep_parallel,
             "speedup": sweep_serial / sweep_parallel,
         },
     }
@@ -89,7 +80,7 @@ def main():
     print(json.dumps(report["end_to_end_characterization"], indent=2))
     print(json.dumps(report["end_to_end_fig3_sweep"], indent=2))
     if report["end_to_end_fig3_sweep"]["speedup"] < 2 \
-            and (os.cpu_count() or 1) >= 4:
+            and benchlib.host_cpus() >= 4:
         print("WARNING: fig3 sweep speedup below 2x", file=sys.stderr)
         return 1
     return 0

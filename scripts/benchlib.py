@@ -1,9 +1,10 @@
 """Shared helpers for the repository's benchmark drivers.
 
 Every BENCH_*.json producer (bench_simcore.py, bench_memsys.py,
-bench_suite.py) needs the same three things: google-benchmark JSON
-parsing, best-of-N wall-clock timing of a subprocess, and a
-consistently formatted report file in the repository root.
+bench_suite.py) needs the same things: google-benchmark JSON parsing,
+best-of-N wall-clock timing of a subprocess, the provenance of the
+measurement, and a consistently formatted report file in the
+repository root.
 """
 
 import json
@@ -25,6 +26,35 @@ def host_cpus():
         return len(os.sched_getaffinity(0)) or 1
     except (AttributeError, OSError):
         return os.cpu_count() or 1
+
+
+def provenance(build):
+    """Where a measurement comes from: host CPUs, the git commit of the
+    measured tree (and whether it had uncommitted changes), and the
+    CMake build type of the measured build directory."""
+    def git(*argv):
+        try:
+            return subprocess.run(
+                ["git"] + list(argv), cwd=repo_root(), check=True,
+                capture_output=True, text=True).stdout.strip()
+        except (OSError, subprocess.CalledProcessError):
+            return None
+
+    build_type = None
+    try:
+        with open(os.path.join(build, "CMakeCache.txt")) as f:
+            for line in f:
+                if line.startswith("CMAKE_BUILD_TYPE:"):
+                    build_type = line.split("=", 1)[1].strip()
+    except OSError:
+        pass
+    status = git("status", "--porcelain", "--untracked-files=no")
+    return {
+        "host_cpus": host_cpus(),
+        "git_sha": git("rev-parse", "HEAD"),
+        "git_dirty": None if status is None else bool(status),
+        "build_type": build_type,
+    }
 
 
 def run_micro(build, benchmark_filter, unit):

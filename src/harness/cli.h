@@ -6,10 +6,11 @@
  *   --jobs N          host threads for independent experiments
  *                     (N >= 1; default 1 = serial)
  *   --replicas MODE   broadcast replay of multi-configuration runs:
- *                     off | inline | threads | auto (default auto)
- *   --backend KIND    interleaver execution mechanism: fiber | thread
+ *                     off | auto (default auto).  auto runs the
+ *                     replicas on consumer threads on a multi-core
+ *                     host and inline on a single core
  *   --quantum N       instrumentation events per scheduling slice
- *   --delivery SHAPE  reference delivery: batched | direct
+ *                     (default 250)
  *   --sweep MODE      working-set sweep engine: exact | model | both
  *                     (default exact).  model predicts the Figure-3
  *                     curves from a reuse-distance profile instead of
@@ -39,14 +40,19 @@
  *                     (or a single .s2t file) instead of executing;
  *                     mutually exclusive with --record
  *
- * Every flag except --protocol and --interconnect changes wall clock
- * only; results and output bytes are identical for any combination
- * (--jobs 1 --replicas off is the serial differential oracle).
- * --protocol and --interconnect select the machine being measured, so
- * they change results by design.  Invalid values are rejected with an
- * error rather than silently falling back, and contradictory flag
- * combinations are rejected up front with one uniform message shape
- * ("conflicting flags: ...") via checkModeConflicts().
+ * --protocol and --interconnect select the machine being measured and
+ * --quantum selects the interleaving (where the scheduler switches
+ * processors), so those three change results by design: radix at P=8,
+ * for one, reports different traffic bytes per instruction at
+ * --quantum 7 than at 250, which is why a recorded trace pins its
+ * quantum.  Every other flag changes wall clock only, or adds
+ * observation; results and output bytes are identical for any
+ * combination (--jobs 1 --replicas off is the serial differential
+ * oracle).  Invalid values are rejected with an error rather than
+ * silently falling back, contradictory flag combinations are rejected
+ * up front with one uniform message shape ("conflicting flags: ...")
+ * via checkModeConflicts(), and a flag no reader consumed is rejected
+ * by Options::reportUnknown().
  */
 #ifndef SPLASH2_HARNESS_CLI_H
 #define SPLASH2_HARNESS_CLI_H
@@ -147,25 +153,10 @@ parseEngineOpts(const Options& opt, EngineOpts* out)
         return false;
     }
     out->sim.checkPeriod = static_cast<std::uint64_t>(check);
-    std::string backend = opt.getS("backend", "fiber");
-    if (!rt::parseBackendKind(backend, &out->sim.backend)) {
-        std::fprintf(stderr,
-                     "unknown --backend '%s' (fiber or thread)\n",
-                     backend.c_str());
-        return false;
-    }
-    std::string delivery = opt.getS("delivery", "batched");
-    if (!rt::parseDelivery(delivery, &out->sim.delivery)) {
-        std::fprintf(stderr,
-                     "unknown --delivery '%s' (batched or direct)\n",
-                     delivery.c_str());
-        return false;
-    }
     std::string replicas = opt.getS("replicas", "auto");
     if (!parseReplicas(replicas, &out->sim.replicas)) {
         std::fprintf(stderr,
-                     "unknown --replicas '%s' (off, inline, threads, "
-                     "or auto)\n",
+                     "unknown --replicas '%s' (off or auto)\n",
                      replicas.c_str());
         return false;
     }

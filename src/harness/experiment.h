@@ -36,46 +36,39 @@ struct RunStats
 };
 
 /** How multi-configuration characterizations execute (bit-identical
- *  results in every mode):
+ *  results in either mode):
  *
  *  - Off: one dedicated execution per configuration, each with its
- *    own Env (the historical serial path; differential oracle).
- *  - Inline: one execution broadcast to all configurations, replicas
- *    replayed on the producer thread (saves the redundant executions
- *    on single-core hosts).
- *  - Threaded: one execution broadcast to all configurations, one
- *    consumer thread per replica with bounded back-pressure.
- *  - Auto: Threaded when the host has more than one core, else
- *    Inline. */
-enum class Replicas : std::uint8_t { Off, Inline, Threaded, Auto };
-
-inline const char*
-replicasName(Replicas r)
-{
-    switch (r) {
-    case Replicas::Off: return "off";
-    case Replicas::Inline: return "inline";
-    case Replicas::Threaded: return "threads";
-    default: return "auto";
-    }
-}
+ *    own Env (the serial oracle for broadcast replay).
+ *  - Auto: one execution broadcast to all configurations.  The
+ *    replicas run on consumer threads with bounded back-pressure when
+ *    threadedReplicas() says so, else on the producer thread. */
+enum class Replicas : std::uint8_t { Off, Auto };
 
 inline bool
 parseReplicas(const std::string& s, Replicas* out)
 {
     if (s == "off") *out = Replicas::Off;
-    else if (s == "inline") *out = Replicas::Inline;
-    else if (s == "threads") *out = Replicas::Threaded;
-    else if (s == "auto" || s == "on") *out = Replicas::Auto;
+    else if (s == "auto") *out = Replicas::Auto;
     else return false;
     return true;
 }
 
+/** Auto's consumer shape for broadcast replicas: one consumer thread
+ *  per replica when the host has more than one core, else inline on
+ *  the producer thread (which saves the redundant executions without
+ *  oversubscribing a single core). */
+inline bool
+threadedReplicas()
+{
+    return std::thread::hardware_concurrency() > 1;
+}
+
 /** Simulation-substrate knobs shared by the drivers below; the
- *  defaults match EnvConfig (fiber backend, quantum 250, batched
- *  delivery).  All of them change simulation speed, never results --
- *  except `protocol`, which selects the simulated coherence protocol
- *  and therefore the machine being measured. */
+ *  quantum default matches EnvConfig.  `protocol` and `interconnect`
+ *  select the machine being measured and `quantum` the interleaving,
+ *  so those three change results; the others change simulation speed
+ *  or add observation only. */
 struct SimOpts
 {
     std::uint64_t quantum = 250;
@@ -86,9 +79,6 @@ struct SimOpts
      *  or a snoopy broadcast bus (sim/bus.h).  Like `protocol`, this
      *  selects the machine being measured. */
     sim::Interconnect interconnect = sim::Interconnect::Directory;
-    rt::BackendKind backend = rt::BackendKind::Fiber;
-    /** Reference delivery shape (bit-identical either way). */
-    rt::Delivery delivery = rt::Delivery::Batched;
     /** Host threads replaying the working-set sweep: 1 = classic
      *  serial online sweep, 0 = hardware concurrency, N>1 = worker
      *  pool of that size.  Results are identical for any value. */
@@ -140,9 +130,10 @@ raceConfigFor(sim::RaceGranularity gran, int nprocs, int lineSize)
 // entry points shared by every driver below.
 
 /** Identity a trace is recorded under: everything the reference
- *  stream of (app, P) depends on.  The quantum is pinned because
- *  batched delivery drains at quantum boundaries, making the stream
- *  *order* (not its statistics) quantum-dependent. */
+ *  stream of (app, P) depends on.  The quantum is pinned because it
+ *  sets where the interleaver switches processors: another quantum is
+ *  another interleaving, and the sharing behavior it produces (misses,
+ *  traffic) can differ. */
 inline sim::TraceMeta
 traceMetaFor(const App& app, int nprocs, const AppConfig& cfg,
              const SimOpts& simOpts)
@@ -268,8 +259,7 @@ runPram(App& app, int nprocs, const AppConfig& cfg,
         }
         return out;
     }
-    rt::Env env({rt::Mode::Sim, nprocs, sim.quantum, sim.backend,
-                 sim.delivery});
+    rt::Env env({rt::Mode::Sim, nprocs, sim.quantum});
     if (race != nullptr)
         env.attachSink(race);
     auto rec = makeRecorder(app, nprocs, cfg, sim);
@@ -308,15 +298,6 @@ struct MemExperiment
     sim::Interconnect interconnect = sim::Interconnect::Directory;
 };
 
-/** Characterize @p app on @p nprocs under every configuration in
- *  @p exps from ONE reference stream.
- *
- *  The PRAM reference stream of a given (app, P) does not depend on
- *  the memory system, so with broadcast replay enabled (the default)
- *  the application executes once and a BroadcastReplay feeds one
- *  MemSystem replica per experiment; with Replicas::Off each
- *  experiment re-executes serially in its own Env.  Statistics are
- *  bit-identical across all modes (tests/sim/replay_test.cc). */
 /** Broadcast replica set for @p exps: one MemSystem replica per
  *  experiment (placed ones resolve homes through @p homes), then --
  *  when race detection is on -- race replicas appended after the
@@ -371,17 +352,71 @@ broadcastSpecs(const std::vector<MemExperiment>& exps, int nprocs,
     return specs;
 }
 
+/** The live broadcast path of runCharacterizations with an explicit
+ *  consumer shape: @p app executes once and a BroadcastReplay feeds
+ *  one replica per experiment, replayed on one consumer thread per
+ *  replica when @p threaded, else inline on the producer thread.
+ *  Both shapes give identical statistics (tests/sim/replay_test.cc);
+ *  runCharacterizations picks one with threadedReplicas(). */
+inline std::vector<RunStats>
+broadcastCharacterizations(App& app, int nprocs,
+                           const std::vector<MemExperiment>& exps,
+                           const AppConfig& cfg, const SimOpts& simOpts,
+                           bool threaded)
+{
+    std::vector<RunStats> out;
+    auto rec = makeRecorder(app, nprocs, cfg, simOpts);
+    rt::Env env({rt::Mode::Sim, nprocs, simOpts.quantum});
+    std::vector<int> raceReplicaOfExp;
+    std::vector<sim::ReplicaSpec> specs = broadcastSpecs(
+        exps, nprocs, simOpts, &env.heap(), &raceReplicaOfExp);
+    sim::BroadcastReplay replay(specs, threaded);
+    env.attachSink(&replay);
+    if (rec)
+        env.attachSink(rec.get());
+    RunStats base;
+    base.valid = app.run(env, cfg).valid;
+    replay.flush();
+    for (int p = 0; p < nprocs; ++p) {
+        base.perProc.push_back(env.stats(p));
+        base.exec += env.stats(p);
+    }
+    base.elapsed = env.elapsed();
+    if (rec)
+        finalizeRecording(*rec, base);
+    for (std::size_t i = 0; i < exps.size(); ++i) {
+        const int ri = static_cast<int>(i);
+        RunStats r = base;
+        for (int p = 0; p < nprocs; ++p)
+            r.memPerProc.push_back(replay.replica(ri).procStats(p));
+        r.mem = replay.replica(ri).total();
+        if (raceReplicaOfExp[i] >= 0) {
+            r.raceChecked = true;
+            r.race =
+                replay.raceReplica(raceReplicaOfExp[i]).outcome();
+        }
+        out.push_back(std::move(r));
+    }
+    return out;
+}
+
+/** Characterize @p app on @p nprocs under every configuration in
+ *  @p exps from ONE reference stream.
+ *
+ *  The PRAM reference stream of a given (app, P) does not depend on
+ *  the memory system, so with broadcast replay enabled (the default)
+ *  the application executes once and a BroadcastReplay feeds one
+ *  MemSystem replica per experiment; with Replicas::Off each
+ *  experiment re-executes serially in its own Env.  Statistics are
+ *  bit-identical across all modes (tests/sim/replay_test.cc). */
 inline std::vector<RunStats>
 runCharacterizations(App& app, int nprocs,
                      const std::vector<MemExperiment>& exps,
                      const AppConfig& cfg, const SimOpts& simOpts = {})
 {
     std::vector<RunStats> out;
-    Replicas mode = simOpts.replicas;
-    if (mode == Replicas::Auto)
-        mode = std::thread::hardware_concurrency() > 1
-                   ? Replicas::Threaded
-                   : Replicas::Inline;
+    const bool threaded =
+        simOpts.replicas == Replicas::Auto && threadedReplicas();
     if (!simOpts.replay.empty()) {
         // Replay from disk: the recorded stream feeds the broadcast
         // replicas directly -- zero fiber execution, execution
@@ -393,7 +428,7 @@ runCharacterizations(App& app, int nprocs,
         std::vector<int> raceReplicaOfExp;
         std::vector<sim::ReplicaSpec> specs = broadcastSpecs(
             exps, nprocs, simOpts, rd->placement(), &raceReplicaOfExp);
-        sim::BroadcastReplay replay(specs, mode == Replicas::Threaded);
+        sim::BroadcastReplay replay(specs, threaded);
         std::string err;
         if (!rd->replay(&replay, &err))
             fatal(err);
@@ -414,11 +449,10 @@ runCharacterizations(App& app, int nprocs,
         }
         return out;
     }
-    auto rec = makeRecorder(app, nprocs, cfg, simOpts);
-    if (mode == Replicas::Off || exps.size() <= 1) {
+    if (simOpts.replicas == Replicas::Off || exps.size() <= 1) {
+        auto rec = makeRecorder(app, nprocs, cfg, simOpts);
         for (const MemExperiment& e : exps) {
-            rt::Env env({rt::Mode::Sim, nprocs, simOpts.quantum,
-                         simOpts.backend, simOpts.delivery});
+            rt::Env env({rt::Mode::Sim, nprocs, simOpts.quantum});
             sim::MachineConfig mc;
             mc.nprocs = nprocs;
             mc.cache = e.cache;
@@ -458,39 +492,8 @@ runCharacterizations(App& app, int nprocs,
         return out;
     }
 
-    rt::Env env({rt::Mode::Sim, nprocs, simOpts.quantum,
-                 simOpts.backend, simOpts.delivery});
-    std::vector<int> raceReplicaOfExp;
-    std::vector<sim::ReplicaSpec> specs = broadcastSpecs(
-        exps, nprocs, simOpts, &env.heap(), &raceReplicaOfExp);
-    sim::BroadcastReplay replay(specs, mode == Replicas::Threaded);
-    env.attachSink(&replay);
-    if (rec)
-        env.attachSink(rec.get());
-    RunStats base;
-    base.valid = app.run(env, cfg).valid;
-    replay.flush();
-    for (int p = 0; p < nprocs; ++p) {
-        base.perProc.push_back(env.stats(p));
-        base.exec += env.stats(p);
-    }
-    base.elapsed = env.elapsed();
-    if (rec)
-        finalizeRecording(*rec, base);
-    for (std::size_t i = 0; i < exps.size(); ++i) {
-        const int ri = static_cast<int>(i);
-        RunStats r = base;
-        for (int p = 0; p < nprocs; ++p)
-            r.memPerProc.push_back(replay.replica(ri).procStats(p));
-        r.mem = replay.replica(ri).total();
-        if (raceReplicaOfExp[i] >= 0) {
-            r.raceChecked = true;
-            r.race =
-                replay.raceReplica(raceReplicaOfExp[i]).outcome();
-        }
-        out.push_back(std::move(r));
-    }
-    return out;
+    return broadcastCharacterizations(app, nprocs, exps, cfg, simOpts,
+                                      threaded);
 }
 
 /** Run @p app under the full directory-coherent memory system
@@ -510,8 +513,7 @@ runWithMemSystem(App& app, int nprocs, const sim::CacheConfig& cache,
         return runCharacterizations(app, nprocs, {e}, cfg,
                                     simOpts)[0];
     }
-    rt::Env env({rt::Mode::Sim, nprocs, simOpts.quantum,
-                 simOpts.backend, simOpts.delivery});
+    rt::Env env({rt::Mode::Sim, nprocs, simOpts.quantum});
     sim::MachineConfig mc;
     mc.nprocs = nprocs;
     mc.cache = cache;
@@ -588,8 +590,7 @@ runWithSweep(App& app, int nprocs, sim::CacheSweep& sweep,
             ps->flush();
         return statsFromProfile(rd->exec());
     }
-    rt::Env env({rt::Mode::Sim, nprocs, simOpts.quantum,
-                 simOpts.backend, simOpts.delivery});
+    rt::Env env({rt::Mode::Sim, nprocs, simOpts.quantum});
     std::unique_ptr<sim::ParallelSweep> ps;
     if (simOpts.sweepThreads != 1) {
         ps = std::make_unique<sim::ParallelSweep>(sweep,

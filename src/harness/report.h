@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <map>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -80,7 +81,10 @@ fmtU(std::uint64_t v)
     return buf;
 }
 
-/** Parse `--key value` style options; unmatched keys keep defaults. */
+/** Parse `--key value` style options; unmatched keys keep defaults.
+ *  Every lookup marks its key as consumed, so once a program has read
+ *  all the flags it understands, reportUnknown() can reject the rest
+ *  (a misspelled flag must not silently fall back to a default). */
 class Options
 {
   public:
@@ -109,50 +113,74 @@ class Options
     double
     getD(const std::string& k, double def) const
     {
-        auto it = kv_.find(k);
-        if (it == kv_.end())
+        const std::string* v = find(k);
+        if (!v)
             return def;
         // Reject partial parses ("1.5x") and non-numbers outright
         // rather than silently truncating or throwing out of main().
         try {
             std::size_t pos = 0;
-            double v = std::stod(it->second, &pos);
-            if (pos == it->second.size())
-                return v;
+            double d = std::stod(*v, &pos);
+            if (pos == v->size())
+                return d;
         } catch (const std::exception&) {
         }
-        fatal("option --" + k + " expects a number, got '" +
-              it->second + "'");
+        fatal("option --" + k + " expects a number, got '" + *v + "'");
     }
 
     long
     getI(const std::string& k, long def) const
     {
-        auto it = kv_.find(k);
-        if (it == kv_.end())
+        const std::string* v = find(k);
+        if (!v)
             return def;
         try {
             std::size_t pos = 0;
-            long v = std::stol(it->second, &pos);
-            if (pos == it->second.size())
-                return v;
+            long l = std::stol(*v, &pos);
+            if (pos == v->size())
+                return l;
         } catch (const std::exception&) {
         }
-        fatal("option --" + k + " expects an integer, got '" +
-              it->second + "'");
+        fatal("option --" + k + " expects an integer, got '" + *v +
+              "'");
     }
 
     std::string
     getS(const std::string& k, const std::string& def) const
     {
-        auto it = kv_.find(k);
-        return it == kv_.end() ? def : it->second;
+        const std::string* v = find(k);
+        return v ? *v : def;
     }
 
-    bool has(const std::string& k) const { return kv_.count(k) > 0; }
+    bool has(const std::string& k) const { return find(k) != nullptr; }
+
+    /** Print `unknown flag --X` to stderr for the first flag on the
+     *  command line that no get*()/has() call has looked up, and
+     *  return true if there was one.  Call it after reading every flag
+     *  the program understands; exit 2 on true. */
+    bool
+    reportUnknown() const
+    {
+        for (const auto& [k, v] : kv_) {
+            if (!consumed_.count(k)) {
+                std::fprintf(stderr, "unknown flag --%s\n", k.c_str());
+                return true;
+            }
+        }
+        return false;
+    }
 
   private:
+    const std::string*
+    find(const std::string& k) const
+    {
+        consumed_.insert(k);
+        auto it = kv_.find(k);
+        return it == kv_.end() ? nullptr : &it->second;
+    }
+
     std::map<std::string, std::string> kv_;
+    mutable std::set<std::string> consumed_;
 };
 
 } // namespace splash::harness

@@ -162,8 +162,7 @@ runWorkingSets(App& app, int nprocs, const sim::SweepConfig& sc,
             ps->flush();
         out.stats = statsFromProfile(rd->exec());
     } else {
-        rt::Env env({rt::Mode::Sim, nprocs, simOpts.quantum,
-                     simOpts.backend, simOpts.delivery});
+        rt::Env env({rt::Mode::Sim, nprocs, simOpts.quantum});
         std::unique_ptr<sim::ParallelSweep> ps;
         if (needExact) {
             if (simOpts.sweepThreads != 1) {
@@ -175,12 +174,8 @@ runWorkingSets(App& app, int nprocs, const sim::SweepConfig& sc,
             }
         }
         if (profileLive) {
-            Replicas rmode = simOpts.replicas;
-            if (rmode == Replicas::Auto)
-                rmode = std::thread::hardware_concurrency() > 1
-                            ? Replicas::Threaded
-                            : Replicas::Inline;
-            if (rmode == Replicas::Threaded) {
+            if (simOpts.replicas == Replicas::Auto &&
+                threadedReplicas()) {
                 // The profiler is the broadcast engine's third
                 // replica kind: its consumer thread overlaps the
                 // exact sweep's worker pool.

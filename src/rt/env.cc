@@ -45,37 +45,6 @@ ProcCtx::nprocs() const
     return env_->nprocs();
 }
 
-const char*
-deliveryName(Delivery d)
-{
-    return d == Delivery::Batched ? "batched" : "direct";
-}
-
-bool
-parseDelivery(const std::string& s, Delivery* out)
-{
-    if (s == "batched") {
-        *out = Delivery::Batched;
-        return true;
-    }
-    if (s == "direct") {
-        *out = Delivery::Direct;
-        return true;
-    }
-    return false;
-}
-
-void
-Env::deliver(const sim::AccessRec& r)
-{
-    if (mem_)
-        mem_->access(r.proc, r.addr, r.size, r.type);
-    if (sweep_)
-        sweep_->access(r.proc, r.addr, r.size, r.type);
-    for (sim::RefSink* s : sinks_)
-        s->access(r);
-}
-
 void
 Env::drainRefs()
 {
@@ -86,7 +55,7 @@ Env::drainRefs()
     ringN_ = 0;
     // Per-sink, not per-record: sinks share no state, so only each
     // sink's own delivery order matters, and that equals execution
-    // order either way.
+    // order.
     if (mem_) {
         for (std::size_t i = 0; i < n; ++i)
             mem_->access(recs[i].proc, recs[i].addr, recs[i].size,
@@ -133,8 +102,7 @@ Env::Env(const EnvConfig& cfg)
               std::to_string(kMaxProcs) + "-bit masks (got " +
               std::to_string(cfg_.nprocs) + ")");
     if (cfg_.mode == Mode::Sim) {
-        sched_ = std::make_unique<Scheduler>(cfg_.nprocs, cfg_.quantum,
-                                             cfg_.backend);
+        sched_ = std::make_unique<Scheduler>(cfg_.nprocs, cfg_.quantum);
         // Home placement must stay stream-ordered for buffering sinks:
         // deliver (and fully replay) everything issued under the old
         // placement before the span map changes.
@@ -146,16 +114,12 @@ Env::Env(const EnvConfig& cfg)
                     s->place({start, bytes, home});
                 }
             });
-        if (cfg_.delivery == Delivery::Batched) {
-            ring_.resize(kRingCap);
-            // Drain before every control transfer so the delivered
-            // order equals the execution order.
-            sched_->setPreSwitchHook(
-                [](void* env, ProcId) {
-                    static_cast<Env*>(env)->drainRefs();
-                },
-                this);
-        }
+        ring_.resize(kRingCap);
+        // Drain before every control transfer so the delivered order
+        // equals the execution order.
+        sched_->setPreSwitchHook(
+            [](void* env, ProcId) { static_cast<Env*>(env)->drainRefs(); },
+            this);
     }
 }
 
@@ -177,14 +141,11 @@ Env::run(const std::function<void(ProcCtx&)>& body)
         episodeCtxs_ = ctxs.data();
         tls_env = this;
         sched_->run([&](ProcId p) {
-            // Under the thread backend each processor runs on its own
-            // host thread, which has not seen the assignment above.
-            tls_env = this;
             body(ctxs[p]);
             stats_[p].finishTime = sched_->time(p);
         });
-        // The last processor to finish exits through the backend's
-        // finish path, which bypasses the pre-switch hook.
+        // The last processor to finish returns straight to this
+        // context, bypassing the pre-switch hook.
         drainRefs();
         tls_env = prevEnv;
         episodeCtxs_ = prevCtxs;
@@ -207,9 +168,8 @@ Env::run(const std::function<void(ProcCtx&)>& body)
 void
 Env::startMeasurement()
 {
-    // Pending batched records precede the measurement window; deliver
-    // them so the resets below discard them exactly as direct delivery
-    // would have.
+    // Pending records precede the measurement window; deliver them so
+    // the resets below discard them.
     drainRefs();
     for (int p = 0; p < cfg_.nprocs; ++p) {
         Tick lt = sched_ ? sched_->time(p) : 0;

@@ -11,9 +11,13 @@
  *    processors by logical (PRAM) time, and every shared-memory
  *    reference is routed to the attached memory-system sinks
  *    (MemSystem and/or CacheSweep).  This is the Tango-Lite role.
- *    The execution mechanism (stackful fibers on one host thread, or
- *    one parked host thread per processor) is chosen by
- *    EnvConfig::backend; the interleaving is identical either way.
+ *
+ * In sim mode references reach the sinks in batches: each one appends
+ * an AccessRec to a ring that is drained at every scheduling boundary
+ * (quantum expiry, block, exit), at sync edges, at placement changes
+ * and at measurement boundaries.  Exactly one simulated processor runs
+ * at a time and the ring is drained before control transfers, so the
+ * delivered order equals the execution order.
  *
  * Instruction accounting (Table 1 of the paper): every instrumented
  * read or write counts as one instruction, and applications annotate
@@ -48,21 +52,6 @@ class CacheSweep;
 namespace splash::rt {
 
 enum class Mode { Native, Sim };
-
-/** How instrumented references reach the attached sinks (sim mode).
- *
- *  - Direct: every reference calls each sink synchronously.
- *  - Batched: references append to a record ring drained at every
- *    scheduling boundary (quantum expiry, block, exit) and at
- *    measurement boundaries.  Exactly one simulated processor runs at
- *    a time and the ring is drained before control transfers, so the
- *    delivered order equals the execution order and all statistics are
- *    bit-identical to Direct -- only the call pattern changes.
- */
-enum class Delivery : std::uint8_t { Direct, Batched };
-
-const char* deliveryName(Delivery d);
-bool parseDelivery(const std::string& s, Delivery* out);
 
 /** Per-processor execution statistics (Table 1 / Figure 2 inputs). */
 struct ProcStats
@@ -113,12 +102,6 @@ struct EnvConfig
     int nprocs = 1;
     /** Scheduler quantum (instrumentation events per slice), sim mode. */
     std::uint64_t quantum = 250;
-    /** Execution mechanism for the sim-mode interleaver: fibers on one
-     *  host thread (default, fast) or one parked host thread per
-     *  processor (the historical baton; differential oracle). */
-    BackendKind backend = BackendKind::Fiber;
-    /** Reference delivery shape (batched by default; bit-identical). */
-    Delivery delivery = Delivery::Batched;
 };
 
 class Env;
@@ -163,10 +146,9 @@ class ProcCtx
  *  problem setup), in which case instrumentation hooks are no-ops.
  *
  *  In sim mode the context is resolved through the scheduler's
- *  running-processor id rather than per-host-thread state, so it is
- *  correct under both execution backends -- with fibers, every
- *  simulated processor shares one host thread and a plain thread_local
- *  would go stale at each context switch. */
+ *  running-processor id rather than per-host-thread state: every
+ *  simulated processor is a fiber on one host thread, so a plain
+ *  thread_local would go stale at each context switch. */
 ProcCtx* cur();
 
 class Env
@@ -189,9 +171,7 @@ class Env
      *  Sinks are delivered to after MemSystem and CacheSweep. */
     void attachSink(sim::RefSink* s) { sinks_.push_back(s); }
 
-    Delivery delivery() const { return cfg_.delivery; }
-
-    /** Deliver any batched records still in the ring.  Called
+    /** Deliver any records still in the ring.  Called
      *  automatically at every scheduling boundary and after run();
      *  public so tests can force a boundary. */
     void drainRefs();
@@ -203,9 +183,9 @@ class Env
 
     /** Forward one synchronization edge to the attached generic sinks
      *  at its exact stream position (sim mode; no-op otherwise).
-     *  Pending batched references are drained first, so a sink's
-     *  sync() call lands between the same two access() calls as it
-     *  would under direct delivery.  MemSystem/CacheSweep never see
+     *  Pending references are drained first, so a sink's sync() call
+     *  lands between the two access() calls that bracket the edge in
+     *  execution order.  MemSystem/CacheSweep never see
      *  sync records -- their reference stream is unchanged. */
     void syncEvent(ProcId p, std::uint32_t obj, sim::SyncOp op,
                    sim::SyncPrim prim);
@@ -247,8 +227,6 @@ class Env
     /** Hot path of the instrumented read/write hooks (sim mode). */
     void simAccess(ProcId p, Addr a, int n, AccessType t,
                    std::uint8_t flags = 0);
-    /** Direct-delivery shape: call every sink for one reference. */
-    void deliver(const sim::AccessRec& r);
 
     EnvConfig cfg_;
     SharedHeap heap_;
@@ -259,7 +237,7 @@ class Env
     sim::MemSystem* mem_ = nullptr;
     sim::CacheSweep* sweep_ = nullptr;
     std::vector<sim::RefSink*> sinks_;
-    /** Batched-delivery record ring; ringN_ is the fill level.  One
+    /** Reference record ring; ringN_ is the fill level.  One
      *  ring serves all processors: only the running processor appends,
      *  and the ring is drained before control transfers. */
     std::vector<sim::AccessRec> ring_;
@@ -270,7 +248,7 @@ class Env
 
 // ----------------------------------------------------------------------
 // Inline instrumentation hot path.  One branch on mode, one clock
-// bump, then either a record append (batched) or sink calls (direct).
+// bump, one record append.
 
 inline void
 Env::simAccess(ProcId p, Addr a, int n, AccessType t, std::uint8_t flags)
@@ -280,27 +258,15 @@ Env::simAccess(ProcId p, Addr a, int n, AccessType t, std::uint8_t flags)
     // Sinks see simulated (arena-relative) addresses, so set indices,
     // interleaving, and home resolution never depend on where the host
     // kernel mapped the arena.
-    a = heap_.toSim(a);
-    if (cfg_.delivery == Delivery::Batched) [[likely]] {
-        sim::AccessRec& r = ring_[ringN_];
-        r.addr = a;
-        r.ltime = s.time(p);
-        r.size = n;
-        r.proc = static_cast<std::int16_t>(p);
-        r.type = t;
-        r.flags = flags;
-        if (++ringN_ == kRingCap) [[unlikely]]
-            drainRefs();
-    } else {
-        sim::AccessRec r;
-        r.addr = a;
-        r.ltime = s.time(p);
-        r.size = n;
-        r.proc = static_cast<std::int16_t>(p);
-        r.type = t;
-        r.flags = flags;
-        deliver(r);
-    }
+    sim::AccessRec& r = ring_[ringN_];
+    r.addr = heap_.toSim(a);
+    r.ltime = s.time(p);
+    r.size = n;
+    r.proc = static_cast<std::int16_t>(p);
+    r.type = t;
+    r.flags = flags;
+    if (++ringN_ == kRingCap) [[unlikely]]
+        drainRefs();
     s.event(p);
 }
 

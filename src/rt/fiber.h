@@ -1,6 +1,6 @@
 /**
  * @file
- * Stackful user-level fibers -- the mechanism underneath FiberBackend.
+ * Stackful user-level fibers -- the mechanism underneath the Scheduler.
  *
  * A Fiber is an independent execution context (its own stack, its own
  * saved register file) that is switched to and from explicitly, in

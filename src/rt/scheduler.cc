@@ -3,15 +3,13 @@
 #include <string>
 
 #include "base/log.h"
+#include "rt/fiber.h"
 
 namespace splash::rt {
 
-Scheduler::Scheduler(int nprocs, std::uint64_t quantum,
-                     BackendKind backend)
-    : nprocs_(nprocs), quantum_(quantum),
-      backend_(makeExecutionBackend(backend)),
-      status_(nprocs, Status::Ready), blockReason_(nprocs, nullptr),
-      lt_(nprocs, 0)
+Scheduler::Scheduler(int nprocs, std::uint64_t quantum)
+    : nprocs_(nprocs), quantum_(quantum), status_(nprocs, Status::Ready),
+      blockReason_(nprocs, nullptr), lt_(nprocs, 0)
 {
     ensure(nprocs >= 1 && nprocs <= kMaxProcs, "bad processor count");
     ensure(quantum >= 1, "quantum must be positive");
@@ -48,23 +46,41 @@ Scheduler::run(const std::function<void(ProcId)>& body)
     ensure(running_ >= 0, "no runnable processor at start");
     status_[running_] = Status::Running;
 
-    backend_->run(
-        nprocs_,
-        [this, &body](ProcId p) {
-            body(p);
-            status_[p] = Status::Done;
-            ++doneCount_;
-            if (doneCount_ == nprocs_) {
-                running_ = -1;
-                backend_->finish(p);
-            } else {
-                switchFrom(p, /*exiting=*/true);
-            }
-        },
-        running_);
+    body_ = &body;
+    fibers_.clear();
+    fibers_.reserve(nprocs_);
+    for (int p = 0; p < nprocs_; ++p)
+        fibers_.push_back(std::make_unique<Fiber>(&procMain, this));
+
+    // Adopt the caller's context fresh each episode: successive
+    // episodes may legally start from different host threads (or from
+    // inside another Env's fiber).
+    Fiber home;
+    home_ = &home;
+    Fiber::switchTo(home, *fibers_[running_]);
+    home_ = nullptr;
+    fibers_.clear();
+    body_ = nullptr;
 
     active_ = false;
     running_ = -1;
+}
+
+void
+Scheduler::procMain(void* self)
+{
+    auto* s = static_cast<Scheduler*>(self);
+    // Control only ever arrives here through a switch to a fresh
+    // fiber, and every switch sets running_ to its target first.
+    const ProcId p = s->running_;
+    (*s->body_)(p);
+    s->status_[p] = Status::Done;
+    if (++s->doneCount_ == s->nprocs_) {
+        s->running_ = -1;
+        Fiber::exitTo(*s->fibers_[p], *s->home_);
+    } else {
+        s->switchFrom(p, /*exiting=*/true);
+    }
 }
 
 void
@@ -82,9 +98,9 @@ Scheduler::switchFrom(ProcId p, bool exiting)
     running_ = next;
     status_[next] = Status::Running;
     if (exiting) {
-        backend_->exitTo(p, next);
+        Fiber::exitTo(*fibers_[p], *fibers_[next]);
     } else if (next != p) {
-        backend_->switchTo(p, next);
+        Fiber::switchTo(*fibers_[p], *fibers_[next]);
         // Resumed: whoever scheduled us already marked us Running.
     }
 }

@@ -14,15 +14,11 @@
  * bit-reproducible -- and the interleaving approximates the PRAM
  * execution the paper's timing model defines.
  *
- * The scheduler is pure policy; the mechanics of holding P suspended
- * execution contexts and transferring control between them live behind
- * the ExecutionBackend seam (rt/exec_backend.h).  With the default
- * FiberBackend the whole simulation runs on one host thread and a
- * handoff is a user-space context switch; the ThreadBackend reproduces
- * the historical one-host-thread-per-processor baton.  Both produce
- * bit-identical interleavings because every decision is taken here.
- * Since at most one simulated processor executes at a time, the policy
- * state below needs no host synchronization of its own.
+ * Every simulated processor is a stackful fiber (rt/fiber.h)
+ * multiplexed on the host thread that called run(); a handoff is one
+ * user-space context switch.  Since at most one simulated processor
+ * executes at a time, the policy state below needs no host
+ * synchronization of its own.
  *
  * Synchronization primitives integrate through block()/unblock(); a
  * state where no processor is runnable and not all are done is reported
@@ -34,21 +30,21 @@
 
 #include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "base/types.h"
-#include "rt/exec_backend.h"
 
 namespace splash::rt {
+
+class Fiber;
 
 class Scheduler
 {
   public:
     /** @param nprocs simulated processors; @param quantum max
-     *  instrumentation events per scheduling slice; @param backend
-     *  execution mechanism (fibers by default). */
-    explicit Scheduler(int nprocs, std::uint64_t quantum = 250,
-                       BackendKind backend = BackendKind::Fiber);
+     *  instrumentation events per scheduling slice. */
+    explicit Scheduler(int nprocs, std::uint64_t quantum = 250);
     ~Scheduler();
 
     /** Run @p body once per simulated processor to completion. */
@@ -91,10 +87,8 @@ class Scheduler
      *  This is how fiber-aware cur() resolves the running context. */
     ProcId running() const { return running_; }
 
-    BackendKind backendKind() const { return backend_->kind(); }
-
     /** Hook invoked with the outgoing processor immediately before any
-     *  control transfer (yield, block, exit).  The batched reference
+     *  control transfer (yield, block, exit).  The Env's reference
      *  delivery drains its record ring here, which is what makes the
      *  drained order equal the execution order.  Plain function pointer
      *  plus context: this sits on the context-switch path. */
@@ -109,6 +103,9 @@ class Scheduler
   private:
     enum class Status : std::uint8_t { Ready, Running, Blocked, Done };
 
+    /** Fiber entry: runs the body of the processor being switched to
+     *  for the first time (running_), then ends its fiber. */
+    static void procMain(void* self);
     /** Pick the runnable processor with the smallest logical time;
      *  -1 if none. */
     ProcId pickNext() const;
@@ -123,7 +120,11 @@ class Scheduler
     std::uint64_t eventsInSlice_ = 0;
     bool active_ = false;
 
-    std::unique_ptr<ExecutionBackend> backend_;
+    /** One fiber per processor, live during run(); home_ is the
+     *  caller's context that run() returns to. */
+    std::vector<std::unique_ptr<Fiber>> fibers_;
+    Fiber* home_ = nullptr;
+    const std::function<void(ProcId)>* body_ = nullptr;
     PreSwitchHook preSwitch_ = nullptr;
     void* preSwitchCtx_ = nullptr;
     ProcId running_ = -1;

@@ -5,10 +5,9 @@
  * All shared application state lives in SharedArray<T> / SharedVar<T>,
  * allocated from the Env's SharedHeap.  Every access goes through the
  * current ProcCtx's read/write hooks, which is how the reference
- * stream reaches the memory-system simulator: under the default
- * batched delivery the hook is a record append into the Env's ring
- * (drained at scheduling boundaries), under direct delivery it is a
- * synchronous call into each sink -- see rt::Delivery.  Outside a team
+ * stream reaches the memory-system simulator: the hook is a record
+ * append into the Env's ring, drained at scheduling boundaries (see
+ * rt/env.h).  Outside a team
  * body (problem setup, result verification) the hooks are no-ops,
  * matching the paper's methodology of measuring only the parallel
  * phase.

@@ -3,18 +3,17 @@
  * Reference-stream records and sinks.
  *
  * The runtime -> simulator boundary moves shared-memory references in
- * one of two shapes (rt::Delivery): a synchronous call per reference,
- * or batches of AccessRec drained at scheduling boundaries.  Because
- * exactly one simulated processor executes at a time and the batch is
- * drained at every context switch, the drained order equals the
- * execution order, so both shapes deliver the identical stream.
+ * batches of AccessRec drained at scheduling boundaries (rt/env.h).
+ * Because exactly one simulated processor executes at a time and the
+ * batch is drained at every context switch, the drained order equals
+ * the execution order.
  *
  * Besides data references the stream carries *synchronization edges*
  * (SyncRec): every PARMACS primitive (rt/sync.h Barrier/Lock/Flag)
  * emits acquire/release records at its exact stream position, so a
  * consumer can reconstruct the happens-before order of the execution
  * (sim/racecheck.h) rather than just the reference sequence.  Sync
- * records are rare compared to references; the batched delivery drains
+ * records are rare compared to references; the delivery path drains
  * pending references before forwarding one, which preserves order
  * without widening the hot record ring.
  *

@@ -9,6 +9,7 @@
 #include <cerrno>
 #include <cstring>
 
+#include "base/hash.h"
 #include "base/log.h"
 
 namespace splash::sim {
@@ -320,17 +321,6 @@ buildHeader(std::uint8_t (&h)[kHeaderBytes], const TraceMeta& m,
     put<std::uint32_t>(h, 124, crc32(h, 124));
 }
 
-std::uint64_t
-fnv1a64(const void* data, std::size_t n, std::uint64_t h)
-{
-    const auto* p = static_cast<const std::uint8_t*>(data);
-    for (std::size_t i = 0; i < n; ++i) {
-        h ^= p[i];
-        h *= 1099511628211ull;
-    }
-    return h;
-}
-
 } // namespace
 
 bool
@@ -356,8 +346,7 @@ TraceMeta::describe() const
 std::string
 TraceMeta::fileName() const
 {
-    std::uint64_t h = 14695981039346656037ull;
-    h = fnv1a64(&scale, sizeof(scale), h);
+    std::uint64_t h = fnv1a64(&scale, sizeof(scale));
     std::int64_t v = n;
     h = fnv1a64(&v, sizeof(v), h);
     v = iters;

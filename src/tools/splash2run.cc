@@ -11,8 +11,7 @@
  *              [--line 64] [--nohints 1] [--nomem 1] [--seed 1234]
  *              [--protocol msi|mesi|moesi|dragon]
  *              [--interconnect directory|bus]
- *              [--backend fiber|thread] [--quantum 250]
- *              [--delivery batched|direct] [--jobs N]
+ *              [--quantum 250] [--jobs N] [--replicas off|auto]
  *              [--race off|word|line] [--csv FILE]
  *              [--sweep exact|model|both]
  *              [--record DIR | --replay DIR]
@@ -48,16 +47,14 @@
  * machine, or a snoopy bus where misses broadcast and every cache
  * answers from its tag array (same protocol descriptors, no sharer
  * vectors, bus occupancy accounted instead of packet bytes).  Those
- * two are the engine flags that change results: they change the
- * machine.  --backend selects the
- * interleaver's execution mechanism (stackful fibers on one host
- * thread, or one parked host thread per simulated processor);
- * --quantum sets the instrumentation events per scheduling slice;
- * --delivery selects how references reach the simulator (ring batches
- * drained at switch boundaries, or a call per reference); --jobs
- * schedules independent programs across host cores.  Those change
- * simulation speed only -- output bytes are bit-identical across
- * backends, quanta, delivery shapes, and job counts.
+ * two change results because they change the machine.  --quantum sets
+ * the instrumentation events per scheduling slice; it changes results
+ * too, because it changes the interleaving.  --jobs schedules
+ * independent programs across host cores and --replicas chooses
+ * between one execution per configuration and one broadcast
+ * execution; those change simulation speed only -- output bytes are
+ * identical for any job count and replica mode.  A flag splash2run
+ * does not know is rejected (exit 2).
  */
 #include <algorithm>
 #include <cstdio>
@@ -100,10 +97,8 @@ report(const App& app, const RunStats& r, bool with_mem,
                     hints ? " + replacement hints" : "");
     else
         std::printf("machine: PRAM (perfect memory)\n");
-    std::printf("interleaver: %s backend, quantum %llu, %s delivery\n",
-                rt::backendName(simOpts.backend),
-                static_cast<unsigned long long>(simOpts.quantum),
-                rt::deliveryName(simOpts.delivery));
+    std::printf("interleaver: quantum %llu\n",
+                static_cast<unsigned long long>(simOpts.quantum));
 
     std::printf("\n-- execution --\n");
     std::printf("valid: %s\n", r.valid ? "yes" : "NO");
@@ -451,8 +446,7 @@ runInjection(App& app, int procs, const sim::CacheConfig& cache,
     int missed = 0;
     for (sim::FaultKind k : todo) {
         // Fresh simulator state per fault: injections must not compound.
-        rt::Env env({rt::Mode::Sim, procs, simOpts.quantum,
-                     simOpts.backend, simOpts.delivery});
+        rt::Env env({rt::Mode::Sim, procs, simOpts.quantum});
         sim::MachineConfig mc;
         mc.nprocs = procs;
         mc.cache = cache;
@@ -548,17 +542,16 @@ main(int argc, char** argv)
             "             organization of the simulated machine\n"
             "             (default directory CC-NUMA; bus snoops the\n"
             "             tag arrays and accounts bus occupancy)\n"
-            "         --backend fiber|thread  execution mechanism of\n"
-            "             the interleaver (default fiber; results are\n"
-            "             identical, fibers are much faster)\n"
             "         --quantum N  instrumentation events per\n"
-            "             scheduling slice (default 250)\n"
-            "         --delivery batched|direct  reference delivery\n"
-            "             shape (default batched; results identical,\n"
-            "             batching is faster)\n"
+            "             scheduling slice (default 250; N >= 1).\n"
+            "             Sets the interleaving, so results can\n"
+            "             differ between quanta\n"
             "         --jobs N  host threads running independent\n"
             "             programs (--app all; N >= 1, default 1;\n"
             "             output bytes identical for every value)\n"
+            "         --replicas off|auto  one execution per\n"
+            "             configuration, or one broadcast execution\n"
+            "             (default auto; output bytes identical)\n"
             "         --check N  coherence invariant checker: full\n"
             "             directory/cache cross-validation every N\n"
             "             slow-path transactions (default 0 = off;\n"
@@ -606,7 +599,12 @@ main(int argc, char** argv)
     cache.assoc = static_cast<int>(opt.getI("assoc", 4));
     cache.lineSize = static_cast<int>(opt.getI("line", 64));
 
-    if (!checkModeConflicts(opt, eng))
+    const bool csv = opt.has("csv");
+    const std::string csvPath = opt.getS("csv", "");
+
+    // Every flag splash2run understands has been looked up by now
+    // (--inject and --race-inject by checkModeConflicts).
+    if (!checkModeConflicts(opt, eng) || opt.reportUnknown())
         return 2;
 
     if (opt.has("inject")) {
@@ -700,16 +698,17 @@ main(int argc, char** argv)
             word_races = true;
     }
 
-    if (opt.has("csv")) {
-        std::string path = opt.getS("csv", "");
-        if (eng.sim.race == sim::RaceGranularity::Off || path.empty()) {
+    if (csv) {
+        if (eng.sim.race == sim::RaceGranularity::Off ||
+            csvPath.empty()) {
             std::fprintf(stderr,
                          "--csv FILE needs --race word|line\n");
             return 2;
         }
-        std::FILE* f = std::fopen(path.c_str(), "w");
+        std::FILE* f = std::fopen(csvPath.c_str(), "w");
         if (!f) {
-            std::fprintf(stderr, "cannot write '%s'\n", path.c_str());
+            std::fprintf(stderr, "cannot write '%s'\n",
+                         csvPath.c_str());
             return 2;
         }
         std::fprintf(f,

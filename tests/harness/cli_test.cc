@@ -64,16 +64,12 @@ TEST(EngineOpts, DefaultsParse)
 TEST(EngineOpts, ValidValuesLand)
 {
     EngineOpts eng;
-    ASSERT_TRUE(parse({"--jobs", "4", "--quantum", "100", "--backend",
-                       "thread", "--delivery", "direct", "--replicas",
-                       "inline", "--sweep-threads", "2", "--check",
-                       "512"},
+    ASSERT_TRUE(parse({"--jobs", "4", "--quantum", "100", "--replicas",
+                       "off", "--sweep-threads", "2", "--check", "512"},
                       &eng));
     EXPECT_EQ(eng.jobs, 4);
     EXPECT_EQ(eng.sim.quantum, 100u);
-    EXPECT_EQ(eng.sim.backend, splash::rt::BackendKind::Thread);
-    EXPECT_EQ(eng.sim.delivery, splash::rt::Delivery::Direct);
-    EXPECT_EQ(eng.sim.replicas, Replicas::Inline);
+    EXPECT_EQ(eng.sim.replicas, Replicas::Off);
     EXPECT_EQ(eng.sim.sweepThreads, 2);
     EXPECT_EQ(eng.sim.checkPeriod, 512u);
 }
@@ -105,8 +101,21 @@ TEST(EngineOpts, RejectsUnknownModes)
 {
     EngineOpts eng;
     EXPECT_FALSE(parse({"--replicas", "sometimes"}, &eng));
-    EXPECT_FALSE(parse({"--backend", "coroutine"}, &eng));
-    EXPECT_FALSE(parse({"--delivery", "postal"}, &eng));
+}
+
+TEST(EngineOpts, ReplicasTakeOffOrAutoOnly)
+{
+    EngineOpts eng;
+    ASSERT_TRUE(parse({}, &eng));
+    EXPECT_EQ(eng.sim.replicas, Replicas::Auto);
+    ASSERT_TRUE(parse({"--replicas", "off"}, &eng));
+    EXPECT_EQ(eng.sim.replicas, Replicas::Off);
+    ASSERT_TRUE(parse({"--replicas", "auto"}, &eng));
+    EXPECT_EQ(eng.sim.replicas, Replicas::Auto);
+    // The consumer shape is Auto's decision, not a spelling.
+    EXPECT_FALSE(parse({"--replicas", "threads"}, &eng));
+    EXPECT_FALSE(parse({"--replicas", "inline"}, &eng));
+    EXPECT_FALSE(parse({"--replicas", "on"}, &eng));
 }
 
 TEST(EngineOpts, ProtocolNamesLand)
@@ -351,6 +360,78 @@ TEST(EngineOpts, ProtocolListIsInformationalNotAnError)
                       static_cast<splash::sim::ProtocolKind>(k))),
                   std::string::npos)
             << "zoo listing is missing protocol " << k;
+}
+
+namespace {
+
+/** Parse @p words the way every binary does -- engine flags plus the
+ *  program's own @p own flags -- then report leftovers.  Returns the
+ *  captured stderr; @p unknown is whether a leftover was reported. */
+std::string
+leftoverFlags(std::vector<std::string> words,
+              const std::vector<std::string>& own, bool* unknown)
+{
+    std::vector<std::string> full = {"prog"};
+    full.insert(full.end(), words.begin(), words.end());
+    std::vector<char*> argv;
+    for (auto& s : full)
+        argv.push_back(s.data());
+    Options opt(static_cast<int>(argv.size()), argv.data());
+    EngineOpts eng;
+    ::testing::internal::CaptureStderr();
+    EXPECT_TRUE(parseEngineOpts(opt, &eng));
+    for (const std::string& k : own)
+        opt.has(k);
+    *unknown = opt.reportUnknown();
+    return ::testing::internal::GetCapturedStderr();
+}
+
+} // namespace
+
+// A flag no reader consumed is an error, not a silent default: a typo
+// such as --protcol must not run the default MESI machine.
+TEST(Options, UnknownFlagIsReported)
+{
+    const std::vector<std::string> own = {"app", "procs", "n"};
+    bool unknown = false;
+    std::string err = leftoverFlags(
+        {"--app", "fft", "--procs", "4", "--n", "10", "--protcol",
+         "moesi"},
+        own, &unknown);
+    EXPECT_TRUE(unknown);
+    EXPECT_EQ(err, "unknown flag --protcol\n");
+
+    err = leftoverFlags({"--app", "fft", "--protocol", "moesi",
+                         "--quick"},
+                        own, &unknown);
+    EXPECT_TRUE(unknown) << "--quick is not one of this program's flags";
+    EXPECT_EQ(err, "unknown flag --quick\n");
+
+    err = leftoverFlags({"--app", "fft", "--protocol", "moesi", "--jobs",
+                         "2", "--replicas", "off"},
+                        own, &unknown);
+    EXPECT_FALSE(unknown);
+    EXPECT_TRUE(err.empty()) << err;
+}
+
+TEST(Options, RemovedEngineFlagsAreUnknown)
+{
+    // No engine flag selects an execution backend or a delivery shape:
+    // those spellings are unknown flags like any other.
+    for (const char* removed : {"backend", "delivery"}) {
+        bool unknown = false;
+        std::string err = leftoverFlags(
+            {"--app", "fft", std::string("--") + removed, "fiber"},
+            {"app"}, &unknown);
+        EXPECT_TRUE(unknown) << removed;
+        EXPECT_EQ(err, std::string("unknown flag --") + removed + "\n");
+    }
+    // ...and the replica consumer shape is not a --replicas value.
+    EngineOpts eng;
+    ::testing::internal::CaptureStderr();
+    EXPECT_FALSE(parse({"--replicas", "threads"}, &eng));
+    EXPECT_EQ(::testing::internal::GetCapturedStderr(),
+              "unknown --replicas 'threads' (off or auto)\n");
 }
 
 // Non-numeric and partially-numeric values must terminate with an

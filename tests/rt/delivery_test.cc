@@ -1,99 +1,135 @@
-// Differential tests for the reference-delivery seam.
+// Tests for the reference-delivery path.
 //
-// The runtime can hand references to the simulator one call at a time
-// (direct) or append them to a ring buffer drained at every control
-// transfer (batched).  Because exactly one simulated processor runs at
-// a time and the ring is drained before every switch, the drained
-// order equals the execution order -- so the two shapes must produce
-// bit-identical characterizations.  These tests enforce that on full
-// FFT/LU/Ocean runs at 8 processors, including the multi-threaded
-// sweep replay pipeline that rides on batched delivery.
+// Instrumented references append to a ring drained into the sinks at
+// every control transfer (quantum expiry, block, exit), at sync edges
+// and at measurement boundaries.  Because exactly one simulated
+// processor runs at a time and the ring is drained before every
+// switch, the delivered order must equal the execution order.  These
+// tests check that order against what the bodies themselves logged,
+// across ring wrap-arounds, quantum-1 slicing and blocking sync, and
+// check the multi-threaded sweep replay that rides on the ring against
+// the serial online sweep.
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "harness/app.h"
 #include "harness/experiment.h"
-#include "run_compare.h"
+#include "rt/sync.h"
+#include "sim/trace.h"
 
 using namespace splash;
 using namespace splash::harness;
-using splash::testing::characterize;
-using splash::testing::expectSameRun;
 
 namespace {
 
-SimOpts
-withDelivery(rt::Delivery d, std::uint64_t quantum = 250)
+/** Every delivered event, in delivered order: an access as its
+ *  (proc, addr) pair, a sync edge as proc -1 and the object id. */
+struct Event
 {
-    SimOpts sim;
-    sim.quantum = quantum;
-    sim.delivery = d;
-    return sim;
-}
+    int proc;
+    Addr addr;
+    bool operator==(const Event&) const = default;
+};
 
-void
-expectDeliveryIdentical(const std::string& app, long n)
+class Capture final : public sim::RefSink
 {
-    auto direct =
-        characterize(app, n, withDelivery(rt::Delivery::Direct));
-    auto batched =
-        characterize(app, n, withDelivery(rt::Delivery::Batched));
-    ASSERT_TRUE(direct.valid) << app;
-    expectSameRun(direct, batched);
+  public:
+    void
+    access(const sim::AccessRec& r) override
+    {
+        events.push_back({r.proc, r.addr});
+    }
+    void
+    sync(const sim::SyncRec& r) override
+    {
+        events.push_back({-1, r.obj});
+    }
+    std::vector<Event> events;
+};
+
+/** Run a program in which every processor logs each reference as it
+ *  issues it into one shared log -- only one processor runs at a
+ *  time, so the log is the execution order -- and require the sink to
+ *  see exactly that sequence.  With @p withBarrier every processor
+ *  also blocks in a barrier halfway, and the sink must see each
+ *  processor's arrival edge after the references it issued first. */
+void
+expectDeliveredInIssueOrder(int procs, std::uint64_t quantum,
+                            int refsPerProc, bool withBarrier)
+{
+    rt::Env env({rt::Mode::Sim, procs, quantum});
+    Capture cap;
+    env.attachSink(&cap);
+    std::vector<Event> issued;
+    rt::Barrier bar(env, procs);
+    env.run([&](rt::ProcCtx& ctx) {
+        for (int i = 0; i < refsPerProc; ++i) {
+            const Addr a = 0x400000 + Addr(ctx.id()) * 0x100000 +
+                           Addr(i % 1000) * 8;
+            issued.push_back({ctx.id(), env.heap().toSim(a)});
+            ctx.read(reinterpret_cast<const void*>(a), 8);
+            if (withBarrier && i == refsPerProc / 2) {
+                issued.push_back({-1, bar.id()});
+                bar.arrive(ctx);
+            }
+        }
+    });
+    // The barrier also emits one departure edge per processor; those
+    // land after the last arrival, which the log cannot see.  Keep
+    // only the first sync edge each processor produces (its arrival).
+    std::vector<Event> delivered;
+    int arrivals = 0;
+    for (const Event& e : cap.events) {
+        if (e.proc >= 0)
+            delivered.push_back(e);
+        else if (arrivals < procs) {
+            ++arrivals;
+            delivered.push_back(e);
+        }
+    }
+    ASSERT_EQ(delivered.size(), issued.size());
+    for (std::size_t i = 0; i < issued.size(); ++i)
+        ASSERT_TRUE(delivered[i] == issued[i])
+            << "delivered event " << i << " is (" << delivered[i].proc
+            << ", " << std::hex << delivered[i].addr << "), issued ("
+            << std::dec << issued[i].proc << ", " << std::hex
+            << issued[i].addr << ")";
 }
 
 } // namespace
 
-TEST(DeliveryDifferential, FftStatsIdentical)
+TEST(BatchedDelivery, OrderEqualsIssueOrderAtDefaultQuantum)
 {
-    // log2n = 12 -> 4096 points on 8 processors.
-    expectDeliveryIdentical("fft", 12);
+    expectDeliveredInIssueOrder(4, 250, 3000, /*withBarrier=*/false);
 }
 
-TEST(DeliveryDifferential, LuStatsIdentical)
+TEST(BatchedDelivery, OrderSurvivesRingWrapAround)
 {
-    // 128x128 matrix on 8 processors.
-    expectDeliveryIdentical("lu", 128);
+    // A quantum far above the ring capacity: each slice fills and
+    // drains the ring several times before the switch drain.
+    expectDeliveredInIssueOrder(3, 20000, 15000, /*withBarrier=*/false);
 }
 
-TEST(DeliveryDifferential, OceanStatsIdentical)
+TEST(BatchedDelivery, OrderSurvivesQuantumOne)
 {
-    // 32x32 grid on 8 processors.
-    expectDeliveryIdentical("ocean", 32);
+    // Quantum 1 drains after every instrumentation event -- the ring
+    // never holds more than one record.
+    expectDeliveredInIssueOrder(5, 1, 400, /*withBarrier=*/false);
 }
 
-TEST(DeliveryDifferential, QuantumOneStressIdentical)
+TEST(BatchedDelivery, SyncEdgesLandAtTheirStreamPosition)
 {
-    // Quantum 1 forces a drain after every instrumentation event --
-    // the ring never holds more than one record, the harshest test of
-    // the drain-at-switch protocol.
-    auto direct =
-        characterize("fft", 10, withDelivery(rt::Delivery::Direct, 1));
-    auto batched =
-        characterize("fft", 10, withDelivery(rt::Delivery::Batched, 1));
-    expectSameRun(direct, batched);
-}
-
-TEST(DeliveryDifferential, NamesRoundTrip)
-{
-    rt::Delivery d = rt::Delivery::Direct;
-    EXPECT_TRUE(rt::parseDelivery("batched", &d));
-    EXPECT_EQ(d, rt::Delivery::Batched);
-    EXPECT_TRUE(rt::parseDelivery("direct", &d));
-    EXPECT_EQ(d, rt::Delivery::Direct);
-    EXPECT_FALSE(rt::parseDelivery("eager", &d));
-    EXPECT_STREQ(rt::deliveryName(rt::Delivery::Batched), "batched");
-    EXPECT_STREQ(rt::deliveryName(rt::Delivery::Direct), "direct");
+    expectDeliveredInIssueOrder(4, 97, 2000, /*withBarrier=*/true);
 }
 
 namespace {
 
-/** Run the working-set sweep for @p app at 8 processors under the
- *  given delivery shape and sweep worker count. */
+/** Run the working-set sweep for @p app at 8 processors with the
+ *  given sweep worker count. */
 sim::CacheSweep
-sweepRun(const std::string& name, long n, rt::Delivery delivery,
-         int sweepThreads)
+sweepRun(const std::string& name, long n, int sweepThreads)
 {
     App* app = findApp(name);
     EXPECT_NE(app, nullptr) << name;
@@ -103,7 +139,6 @@ sweepRun(const std::string& name, long n, rt::Delivery delivery,
     sc.nprocs = 8;
     sim::CacheSweep sweep(sc);
     SimOpts simOpts;
-    simOpts.delivery = delivery;
     simOpts.sweepThreads = sweepThreads;
     runWithSweep(*app, 8, sweep, cfg, simOpts);
     return sweep;
@@ -128,18 +163,18 @@ expectSameSweep(const sim::CacheSweep& a, const sim::CacheSweep& b)
 
 TEST(SweepDifferential, ParallelReplayIdenticalToSerialOnline)
 {
-    // The acceptance pairing: classic direct delivery + serial online
-    // sweep versus batched delivery + multi-threaded capture/replay.
-    auto serial = sweepRun("fft", 12, rt::Delivery::Direct, 1);
-    auto parallel = sweepRun("fft", 12, rt::Delivery::Batched, 3);
+    // Serial online sweep versus the multi-threaded capture/replay
+    // pipeline.
+    auto serial = sweepRun("fft", 12, 1);
+    auto parallel = sweepRun("fft", 12, 3);
     expectSameSweep(serial, parallel);
 }
 
 TEST(SweepDifferential, WorkerCountInvariant)
 {
-    auto one = sweepRun("lu", 64, rt::Delivery::Batched, 1);
+    auto one = sweepRun("lu", 64, 1);
     for (int threads : {2, 5}) {
-        auto many = sweepRun("lu", 64, rt::Delivery::Batched, threads);
+        auto many = sweepRun("lu", 64, threads);
         expectSameSweep(one, many);
     }
 }

@@ -119,54 +119,65 @@ TEST(Scheduler, ClocksPersistAcrossRuns)
     EXPECT_EQ(s.time(1), 150u);
 }
 
-class SchedulerBackends
-    : public ::testing::TestWithParam<rt::BackendKind>
-{};
-
-TEST_P(SchedulerBackends, InterleavingIsBackendInvariant)
+TEST(Scheduler, InterleavingMatchesThePolicy)
 {
-    // The backend is pure mechanism; the interleaving (and thus every
-    // downstream statistic) must be identical under both.
-    auto trace = [](rt::BackendKind kind) {
-        Scheduler s(4, 7, kind);
-        std::vector<int> order;
-        s.run([&](ProcId p) {
-            for (int i = 0; i < 200; ++i) {
-                order.push_back(p);
-                s.advance(p, 1 + p);
-                s.event(p);
-            }
-        });
-        return order;
-    };
-    EXPECT_EQ(trace(GetParam()), trace(rt::BackendKind::Fiber));
-}
-
-TEST_P(SchedulerBackends, BlockAndUnblock)
-{
-    Scheduler s(2, 250, GetParam());
+    // An independent model of the policy: a slice runs the ready
+    // processor with the smallest clock (ties to the lower id) for a
+    // quantum of events.  The fiber interleaving must follow it slice
+    // by slice.
+    const int procs = 4;
+    const int events = 200;
+    const std::uint64_t quantum = 7;
+    Scheduler s(procs, quantum);
     std::vector<int> order;
     s.run([&](ProcId p) {
-        if (p == 0) {
-            s.advance(p, 1);
-            order.push_back(0);
-            s.block(0, "test");
-            order.push_back(2);
-        } else {
-            s.advance(p, 10);
-            order.push_back(1);
-            s.unblock(0);
+        for (int i = 0; i < events; ++i) {
+            order.push_back(p);
+            s.advance(p, 1 + p);
+            s.event(p);
         }
     });
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+
+    std::vector<int> model;
+    std::vector<Tick> clock(procs, 0);
+    std::vector<int> left(procs, events);
+    for (;;) {
+        int best = -1;
+        for (int p = 0; p < procs; ++p)
+            if (left[p] > 0 && (best < 0 || clock[p] < clock[best]))
+                best = p;
+        if (best < 0)
+            break;
+        for (std::uint64_t e = 0; e < quantum && left[best] > 0; ++e) {
+            model.push_back(best);
+            clock[best] += 1 + best;
+            --left[best];
+        }
+    }
+    EXPECT_EQ(order, model);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Backends, SchedulerBackends,
-    ::testing::Values(rt::BackendKind::Fiber, rt::BackendKind::Thread),
-    [](const ::testing::TestParamInfo<rt::BackendKind>& info) {
-        return std::string(rt::backendName(info.param));
+TEST(Scheduler, PingPongBlockUnblockCompletes)
+{
+    // The pattern the context-switch microbenchmark uses; assert its
+    // correctness here so the bench can trust it.
+    Scheduler s(2);
+    const int rounds = 1000;
+    int switches = 0;
+    s.run([&](ProcId p) {
+        ProcId other = 1 - p;
+        for (int i = 0; i < rounds; ++i) {
+            s.advance(p, 1);
+            s.unblock(other);
+            s.block(p, "ping-pong");
+            ++switches;
+        }
+        s.unblock(other);
     });
+    EXPECT_EQ(switches, 2 * rounds);
+    EXPECT_EQ(s.time(0), Tick(rounds));
+    EXPECT_EQ(s.time(1), Tick(rounds));
+}
 
 TEST(Scheduler, ManyProcessors)
 {

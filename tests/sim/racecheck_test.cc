@@ -605,15 +605,10 @@ TEST(RaceCheckApps, BroadcastRaceReplicasMatchDedicatedRuns)
         auto serial =
             runCharacterizations(*app, procs, exps, smallCfg(), off);
 
-        SimOpts inl = off;
-        inl.replicas = Replicas::Inline;
-        auto inlined =
-            runCharacterizations(*app, procs, exps, smallCfg(), inl);
-
-        SimOpts thr = off;
-        thr.replicas = Replicas::Threaded;
-        auto threaded =
-            runCharacterizations(*app, procs, exps, smallCfg(), thr);
+        auto inlined = broadcastCharacterizations(
+            *app, procs, exps, smallCfg(), off, /*threaded=*/false);
+        auto threaded = broadcastCharacterizations(
+            *app, procs, exps, smallCfg(), off, /*threaded=*/true);
 
         ASSERT_EQ(serial.size(), 2u);
         ASSERT_EQ(inlined.size(), 2u);

@@ -4,11 +4,11 @@
 // machine). Any divergence in hit/miss decisions, state transitions,
 // or invalidation sets is a bug in one of the two implementations.
 //
-// The same seeded streams also cross-validate the two reference
-// delivery shapes (direct call-per-access versus the batched ring
-// drained at scheduling boundaries) and the parallel sweep replay
-// pipeline against the serial online sweep: all must be state- and
-// statistics-exact.
+// The same seeded streams also run as scheduled team programs through
+// the batched delivery ring (delivered order must equal issue order,
+// and the result must equal the reference model's), and cross-validate
+// the parallel sweep replay pipeline against the serial online sweep:
+// all must be state- and statistics-exact.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -186,28 +186,33 @@ fuzzStep(std::uint64_t& x)
     return s;
 }
 
+/** One issued reference, as the issuing body logged it. */
+struct Issued
+{
+    int proc;
+    Addr addr;
+    bool write;
+};
+
 /** Run the seeded fuzz stream as a real team program: each processor
  *  issues its own deterministic subsequence, interleaved by the
- *  scheduler.  Returns per-proc MemStats; @p touched collects every
- *  line referenced so callers can compare final states. */
-std::vector<MemStats>
-fuzzMemRun(std::uint64_t seed, rt::Delivery delivery,
-           std::set<Addr>* touched, MemSystem** memOut,
-           std::unique_ptr<MemSystem>& memHold)
+ *  scheduler, into @p mem and @p capture.  Each body appends every
+ *  access to @p issued just before issuing it; only one processor
+ *  runs at a time, so @p issued is the execution order. */
+void
+fuzzMemRun(std::uint64_t seed, MemSystem& mem, Trace& capture,
+           std::vector<Issued>* issued)
 {
-    const int nprocs = 6;
-    rt::Env env({rt::Mode::Sim, nprocs, /*quantum=*/97,
-                 rt::BackendKind::Fiber, delivery});
-    MachineConfig mc;
-    mc.nprocs = nprocs;
-    mc.cache.size = 1u << 22;
-    mc.cache.assoc = 0;
-    memHold = std::make_unique<MemSystem>(mc);
-    env.attachMemSystem(memHold.get());
+    rt::Env env({rt::Mode::Sim, mem.config().nprocs, /*quantum=*/97});
+    env.attachMemSystem(&mem);
+    env.attachSink(&capture);
     env.run([&](rt::ProcCtx& ctx) {
         std::uint64_t x = seed * 1000003ull + std::uint64_t(ctx.id());
         for (int i = 0; i < 6000; ++i) {
             FuzzStep s = fuzzStep(x);
+            // Sinks see simulated addresses; log what they should see.
+            issued->push_back(
+                {ctx.id(), env.heap().toSim(s.addr), s.write});
             const void* a = reinterpret_cast<const void*>(s.addr);
             if (s.write)
                 ctx.write(a, 8);
@@ -215,62 +220,59 @@ fuzzMemRun(std::uint64_t seed, rt::Delivery delivery,
                 ctx.read(a, 8);
         }
     });
-    if (touched) {
-        std::uint64_t x;
-        for (int p = 0; p < nprocs; ++p) {
-            x = seed * 1000003ull + std::uint64_t(p);
-            for (int i = 0; i < 6000; ++i)
-                touched->insert(fuzzStep(x).addr & ~Addr(63));
-        }
-    }
-    *memOut = memHold.get();
-    std::vector<MemStats> out;
-    for (int p = 0; p < nprocs; ++p)
-        out.push_back(memHold->procStats(p));
-    return out;
-}
-
-void
-expectSameStats(const MemStats& a, const MemStats& b, int p)
-{
-    EXPECT_EQ(a.reads, b.reads) << "P" << p;
-    EXPECT_EQ(a.writes, b.writes) << "P" << p;
-    for (int m = 0; m < kNumMissTypes; ++m)
-        EXPECT_EQ(a.misses[m], b.misses[m]) << "P" << p << " type " << m;
-    EXPECT_EQ(a.upgrades, b.upgrades) << "P" << p;
-    EXPECT_EQ(a.remoteSharedData, b.remoteSharedData) << "P" << p;
-    EXPECT_EQ(a.remoteColdData, b.remoteColdData) << "P" << p;
-    EXPECT_EQ(a.remoteCapacityData, b.remoteCapacityData) << "P" << p;
-    EXPECT_EQ(a.remoteWriteback, b.remoteWriteback) << "P" << p;
-    EXPECT_EQ(a.remoteOverhead, b.remoteOverhead) << "P" << p;
-    EXPECT_EQ(a.localData, b.localData) << "P" << p;
-    EXPECT_EQ(a.trueSharedData, b.trueSharedData) << "P" << p;
 }
 
 } // namespace
 
-/** Batched delivery must be state- and stat-exact versus direct on the
- *  same scheduled fuzz streams: per-proc counters, traffic bytes, and
- *  the final MESI state of every touched line. */
+/** The batched delivery path on scheduled fuzz streams: the sink must
+ *  see exactly the sequence the bodies issued, and the MemSystem fed
+ *  that way must agree with the independent reference model replayed
+ *  over the issue log -- per-processor miss counts and the final MESI
+ *  state of every touched line. */
 TEST_P(ReferenceFuzz, BatchedDeliveryStateAndStatExact)
 {
+    const int nprocs = 6;
+    MachineConfig mc;
+    mc.nprocs = nprocs;
+    mc.cache.size = 1u << 22;
+    mc.cache.assoc = 0;
+    MemSystem mem(mc);
+    Trace capture;
+    std::vector<Issued> issued;
+    fuzzMemRun(GetParam(), mem, capture, &issued);
+
+    // Delivered order equals execution order.
+    ASSERT_EQ(capture.size(), issued.size());
+    std::size_t i = 0;
+    capture.forEach([&](const AccessRec& r) {
+        const Issued& want = issued[i];
+        EXPECT_EQ(r.proc, want.proc) << "record " << i;
+        EXPECT_EQ(r.addr, want.addr) << "record " << i;
+        EXPECT_EQ(r.type,
+                  want.write ? AccessType::Write : AccessType::Read)
+            << "record " << i;
+        ++i;
+    });
+
+    // Statistics and states equal the reference model's.
+    RefModel ref(nprocs);
+    std::vector<std::uint64_t> refMisses(nprocs, 0);
     std::set<Addr> touched;
-    MemSystem* memD = nullptr;
-    MemSystem* memB = nullptr;
-    std::unique_ptr<MemSystem> holdD, holdB;
-    auto direct = fuzzMemRun(GetParam(), rt::Delivery::Direct, &touched,
-                             &memD, holdD);
-    auto batched = fuzzMemRun(GetParam(), rt::Delivery::Batched, nullptr,
-                              &memB, holdB);
-    ASSERT_EQ(direct.size(), batched.size());
-    for (std::size_t p = 0; p < direct.size(); ++p)
-        expectSameStats(direct[p], batched[p], int(p));
+    for (const Issued& r : issued) {
+        const Addr line = r.addr & ~Addr(63);
+        touched.insert(line);
+        if (ref.access(r.proc, line, r.write))
+            ++refMisses[r.proc];
+    }
+    for (int p = 0; p < nprocs; ++p)
+        EXPECT_EQ(mem.procStats(p).totalMisses(), refMisses[p])
+            << "P" << p;
     for (Addr line : touched)
-        for (int q = 0; q < 6; ++q)
-            ASSERT_EQ(memD->lineState(q, line), memB->lineState(q, line))
+        for (int q = 0; q < nprocs; ++q)
+            ASSERT_EQ(mem.lineState(q, line),
+                      toLineState(ref.stateOf(q, line)))
                 << "p" << q << " line " << std::hex << line;
-    EXPECT_TRUE(memD->checkCoherenceInvariants());
-    EXPECT_TRUE(memB->checkCoherenceInvariants());
+    EXPECT_TRUE(mem.checkCoherenceInvariants());
 }
 
 /** The parallel sweep replay must reproduce the serial online sweep

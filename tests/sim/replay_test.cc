@@ -315,7 +315,7 @@ TEST(BroadcastReplay, AbortStreamQuiescesAndCleanRunStillMatches)
 // placement calls, and measurement resets) characterized under several
 // configurations must produce bit-identical statistics whether each
 // configuration re-executes (Off) or all share one broadcast execution
-// (Inline and Threaded).
+// (inline or threaded consumers).
 
 TEST(BroadcastReplay, AppCharacterizationsMatchDedicatedRuns)
 {
@@ -336,15 +336,14 @@ TEST(BroadcastReplay, AppCharacterizationsMatchDedicatedRuns)
     auto oracle = runCharacterizations(*app, procs, exps, cfg, off);
     ASSERT_EQ(oracle.size(), exps.size());
 
-    for (Replicas mode : {Replicas::Inline, Replicas::Threaded}) {
-        SimOpts simOpts;
-        simOpts.replicas = mode;
-        auto got = runCharacterizations(*app, procs, exps, cfg, simOpts);
+    for (bool threaded : {false, true}) {
+        auto got = broadcastCharacterizations(*app, procs, exps, cfg,
+                                              SimOpts{}, threaded);
         ASSERT_EQ(got.size(), exps.size());
         for (std::size_t i = 0; i < exps.size(); ++i) {
             expectSameStats(oracle[i].mem, got[i].mem,
                             "experiment " + std::to_string(i) +
-                                " mode " + replicasName(mode));
+                                (threaded ? " threaded" : " inline"));
             EXPECT_EQ(oracle[i].elapsed, got[i].elapsed);
             ASSERT_EQ(oracle[i].memPerProc.size(),
                       got[i].memPerProc.size());
@@ -376,9 +375,8 @@ TEST(BroadcastReplay, PlacementHeavyAppMatchesDedicatedRuns)
     off.replicas = Replicas::Off;
     auto oracle = runCharacterizations(*app, procs, exps, cfg, off);
 
-    SimOpts threaded;
-    threaded.replicas = Replicas::Threaded;
-    auto got = runCharacterizations(*app, procs, exps, cfg, threaded);
+    auto got = broadcastCharacterizations(*app, procs, exps, cfg,
+                                          SimOpts{}, /*threaded=*/true);
     ASSERT_EQ(got.size(), oracle.size());
     for (std::size_t i = 0; i < oracle.size(); ++i)
         expectSameStats(oracle[i].mem, got[i].mem,
@@ -440,9 +438,7 @@ TEST(BroadcastRegression, ReproducesCommittedFig7FftRows)
         e.cache.lineSize = line;
         exps.push_back(e);
     }
-    SimOpts simOpts;
-    simOpts.replicas = Replicas::Threaded;
-    auto got = runCharacterizations(*app, procs, exps, cfg, simOpts);
+    auto got = runCharacterizations(*app, procs, exps, cfg);
     ASSERT_EQ(got.size(), exps.size());
 
     for (std::size_t j = 0; j < got.size(); ++j) {
