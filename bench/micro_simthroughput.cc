@@ -8,8 +8,8 @@
  *    each also captured per coherence protocol (BM_MemSysHitProto/msi,
  *    BM_MemSysMissProto/dragon, ...) to show the table-driven dispatch
  *    costs the same across the zoo
- *  - Working-set sweep throughput: serial online (BM_SweepAccess) and
- *    the batched capture/replay pipeline (BM_SweepBatched)
+ *  - Working-set sweep throughput: every Figure-3 operating point
+ *    updated per reference (BM_SweepAccess)
  *  - Batched reference delivery under a full Env (BM_Delivery_Batched)
  *  - Scheduler context-switch cost and quantum sensitivity
  *  - Fiber handoff cost: ping-pong benchmarks where two processors
@@ -128,9 +128,9 @@ sweepStep(sim::RefSink& sink, std::uint64_t& x)
 }
 
 /** CacheSweep is not itself a RefSink; adapt it for sweepStep. */
-struct SerialSweepSink final : sim::RefSink
+struct SweepSink final : sim::RefSink
 {
-    explicit SerialSweepSink(sim::CacheSweep& s) : sweep(s) {}
+    explicit SweepSink(sim::CacheSweep& s) : sweep(s) {}
     void
     access(const sim::AccessRec& r) override
     {
@@ -142,37 +142,21 @@ struct SerialSweepSink final : sim::RefSink
 
 } // namespace
 
-/** Serial online sweep: all 34 configurations updated per reference. */
+/** Sweep cost per reference: all 44 Figure-3 operating points (one
+ *  MRU list per set count plus the Mattson stack) updated at once. */
 static void
 BM_SweepAccess(benchmark::State& state)
 {
     sim::SweepConfig sc;
     sc.nprocs = 4;
     sim::CacheSweep sweep(sc);
-    SerialSweepSink sink(sweep);
+    SweepSink sink(sweep);
     std::uint64_t x = 12345;
     for (auto _ : state)
         sweepStep(sink, x);
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_SweepAccess);
-
-/** Capture/replay pipeline at a given worker count (0 = hardware
- *  concurrency); cost includes capture, annotation, and replay. */
-static void
-BM_SweepBatched(benchmark::State& state)
-{
-    sim::SweepConfig sc;
-    sc.nprocs = 4;
-    sim::CacheSweep sweep(sc);
-    sim::ParallelSweep ps(sweep, static_cast<int>(state.range(0)));
-    std::uint64_t x = 12345;
-    for (auto _ : state)
-        sweepStep(ps, x);
-    ps.flush();
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_SweepBatched)->Arg(1)->Arg(2)->Arg(0)->UseRealTime();
 
 /** Broadcast replay throughput: the sweepStep reference mix fanned
  *  out to N MemSystem replicas on consumer threads (N > 0) or

@@ -11,9 +11,13 @@
  *
  * Engine: each of an application's three sweep profiles (base, 2x
  * data set, half the processors) is an independent runner job
- * (--jobs); output bytes are identical for every jobs value.
+ * (--jobs); output bytes are identical for every jobs value.  Each
+ * profile runs the exact sweep on the executing thread and simulates
+ * only the 4-way column it reads.  --quick defaults to 8 processors
+ * at scale 0.25.
  *
- * Usage: table2_working_sets [--procs 32] [--scale 1.0] [--jobs N]
+ * Usage: table2_working_sets [--quick] [--procs 32] [--scale 1.0]
+ *                            [--jobs N]
  */
 #include <cstdio>
 #include <string>
@@ -38,6 +42,7 @@ profileAt(App& app, int procs, double scale, const SimOpts& simOpts)
 {
     sim::SweepConfig sc;
     sc.nprocs = procs;
+    sc.assocs = {4};  // the knees are read off the 4-way curve only
     sim::CacheSweep sweep(sc);
     AppConfig cfg;
     cfg.scale = scale;

@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
-"""Measure the memory-path speedup and write BENCH_memsys.json.
+"""Measure the memory-path cost and write BENCH_memsys.json.
 
 Three measurements:
 
  1. Reference cost: the BM_MemSysHit / BM_MemSysMiss / BM_SweepAccess /
-    BM_SweepBatched / BM_Delivery_Batched / BM_Broadcast microbenchmarks from
+    BM_Delivery_Batched / BM_Broadcast microbenchmarks from
     bench/micro_simthroughput (each reports references per second;
     ns/ref = 1e9 / that).  BM_MemSysHitProto/<name> and
     BM_MemSysMissProto/<name> repeat the hit/miss measurements under
@@ -14,10 +14,12 @@ Three measurements:
  2. End-to-end characterization: wall clock of a full splash2run
     (FFT, 32 processors), best of N.
  3. End-to-end working-set sweep: wall clock of the Figure 3 sweep
-    (FFT, 32 processors, 34 configurations + Mattson stacks) with the
-    serial online sweep versus the capture/replay pipeline across all
-    host cores, best of N.  This is the headline number: the sweep
-    dominates Figure 3 / Table 2 turnaround.
+    (FFT, 32 processors, all 44 operating points), best of N.  The
+    sweep dominates Figure 3 / Table 2 turnaround.
+
+Gate: exits 1 when BM_SweepAccess costs more than SWEEP_GATE_NS
+nanoseconds per reference (every Figure-3 operating point of one
+processor updated for one reference).
 
 Usage: scripts/bench_memsys.py [--build build] [--reps 3] [--n 16]
 Writes BENCH_memsys.json in the repository root.
@@ -29,6 +31,8 @@ import os
 import sys
 
 import benchlib
+
+SWEEP_GATE_NS = 800.0
 
 
 def main():
@@ -52,15 +56,13 @@ def main():
     fig3_exe = os.path.join(args.build, "bench", "fig3_working_sets")
     fig3_args = [fig3_exe, "--app", "fft", "--procs", "32",
                  "--n", str(args.n), "--csv"]
-    sweep_serial = benchlib.time_cmd(
-        fig3_args + ["--sweep-threads", "1"], args.reps)
-    sweep_parallel = benchlib.time_cmd(
-        fig3_args + ["--sweep-threads", "0"], args.reps)
+    sweep_seconds = benchlib.time_cmd(fig3_args, args.reps)
 
+    sweep_ns = micro["BM_SweepAccess"]["ns_per_ref"]
     report = {
         "description": "Memory-path cost: silent-hit fast path (per "
-                       "protocol), reference delivery, parallel "
-                       "working-set sweep",
+                       "protocol), reference delivery, working-set "
+                       "sweep",
         "provenance": benchlib.provenance(args.build),
         "reference_cost": micro,
         "end_to_end_characterization": {
@@ -71,17 +73,22 @@ def main():
         "end_to_end_fig3_sweep": {
             "workload": " ".join(fig3_args[1:]),
             "reps": args.reps,
-            "serial_seconds": sweep_serial,
-            "parallel_seconds": sweep_parallel,
-            "speedup": sweep_serial / sweep_parallel,
+            "seconds": sweep_seconds,
+        },
+        "sweep_gate": {
+            "metric": "BM_SweepAccess ns_per_ref",
+            "limit": SWEEP_GATE_NS,
+            "measured": sweep_ns,
+            "pass": sweep_ns <= SWEEP_GATE_NS,
         },
     }
     benchlib.write_report("BENCH_memsys.json", report)
     print(json.dumps(report["end_to_end_characterization"], indent=2))
     print(json.dumps(report["end_to_end_fig3_sweep"], indent=2))
-    if report["end_to_end_fig3_sweep"]["speedup"] < 2 \
-            and benchlib.host_cpus() >= 4:
-        print("WARNING: fig3 sweep speedup below 2x", file=sys.stderr)
+    print(json.dumps(report["sweep_gate"], indent=2))
+    if not report["sweep_gate"]["pass"]:
+        print("FAIL: BM_SweepAccess %.0f ns/ref exceeds %.0f"
+              % (sweep_ns, SWEEP_GATE_NS), file=sys.stderr)
         return 1
     return 0
 

@@ -14,10 +14,8 @@
  *   --sweep MODE      working-set sweep engine: exact | model | both
  *                     (default exact).  model predicts the Figure-3
  *                     curves from a reuse-distance profile instead of
- *                     simulating 34 tag arrays; both runs the two and
- *                     reports model-vs-exact error
- *   --sweep-threads N working-set sweep replay pool (exact sweep
- *                     only; rejected with --sweep model)
+ *                     simulating every cache configuration; both runs
+ *                     the two and reports model-vs-exact error
  *   --check N         coherence invariant checker sampling period: a
  *                     full directory/cache cross-validation every N
  *                     slow-path transactions (0 = off, the default)
@@ -119,15 +117,6 @@ parseEngineOpts(const Options& opt, EngineOpts* out)
         return false;
     }
     out->sim.quantum = static_cast<std::uint64_t>(quantum);
-    long sweepThreads = opt.getI("sweep-threads", 0);
-    if (sweepThreads < 0) {
-        std::fprintf(stderr,
-                     "--sweep-threads must be >= 0 (got %ld; 0 = "
-                     "hardware concurrency)\n",
-                     sweepThreads);
-        return false;
-    }
-    out->sim.sweepThreads = static_cast<int>(sweepThreads);
     std::string sweepMode = opt.getS("sweep", "exact");
     out->sweepRequested = opt.has("sweep");
     if (!sim::parseSweepMode(sweepMode, &out->sim.sweep)) {
@@ -135,16 +124,6 @@ parseEngineOpts(const Options& opt, EngineOpts* out)
                      "unknown --sweep '%s' (exact, model, or both)\n",
                      sweepMode.c_str());
         return false;
-    }
-    if (out->sim.sweep == sim::SweepMode::Model &&
-        opt.has("sweep-threads")) {
-        // The replay pool parallelizes the exact engine's tag arrays;
-        // a model-only sweep has none, so an explicit thread count is
-        // a contradiction rather than a silent no-op.
-        return conflictingFlags("--sweep-threads", "--sweep model",
-                                "the replay pool parallelizes the "
-                                "exact engine's tag arrays and a "
-                                "model-only sweep has none");
     }
     long check = opt.getI("check", 0);
     if (check < 0) {

@@ -79,12 +79,8 @@ struct SimOpts
      *  or a snoopy broadcast bus (sim/bus.h).  Like `protocol`, this
      *  selects the machine being measured. */
     sim::Interconnect interconnect = sim::Interconnect::Directory;
-    /** Host threads replaying the working-set sweep: 1 = classic
-     *  serial online sweep, 0 = hardware concurrency, N>1 = worker
-     *  pool of that size.  Results are identical for any value. */
-    int sweepThreads = 1;
-    /** Working-set sweep engine (--sweep): the exact Mattson +
-     *  tag-array simulation, the reuse-distance analytical model, or
+    /** Working-set sweep engine (--sweep): the exact simulation of
+     *  every operating point, the reuse-distance analytical model, or
      *  both side by side (sim/reusedist.h). */
     sim::SweepMode sweep = sim::SweepMode::Exact;
     /** Broadcast-replay mode for multi-configuration experiments. */
@@ -544,13 +540,8 @@ runWithMemSystem(App& app, int nprocs, const sim::CacheConfig& cache,
     return out;
 }
 
-/** Run @p app feeding the multi-configuration cache sweep; the caller
- *  owns the sweep so it can query arbitrary operating points.  With
- *  simOpts.sweepThreads != 1 the sweep is driven through a
- *  ParallelSweep capture/replay pipeline (bit-identical results); the
- *  sweep is fully up to date when this returns. */
-/** RefSink shim driving a serial CacheSweep from a replayed stream
- *  (the sweep is not itself a RefSink; ParallelSweep is). */
+/** RefSink shim driving a CacheSweep from a replayed stream (the
+ *  sweep is not itself a RefSink). */
 class SweepRefSink final : public sim::RefSink
 {
   public:
@@ -566,46 +557,27 @@ class SweepRefSink final : public sim::RefSink
     sim::CacheSweep& sweep_;
 };
 
+/** Run @p app feeding the multi-configuration cache sweep; the caller
+ *  owns the sweep so it can query arbitrary operating points. */
 inline RunStats
 runWithSweep(App& app, int nprocs, sim::CacheSweep& sweep,
              const AppConfig& cfg, const SimOpts& simOpts = {})
 {
     if (!simOpts.replay.empty()) {
         auto rd = openReplay(app, nprocs, cfg, simOpts);
-        std::unique_ptr<sim::ParallelSweep> ps;
-        std::unique_ptr<SweepRefSink> serial;
-        sim::RefSink* sink;
-        if (simOpts.sweepThreads != 1) {
-            ps = std::make_unique<sim::ParallelSweep>(
-                sweep, simOpts.sweepThreads);
-            sink = ps.get();
-        } else {
-            serial = std::make_unique<SweepRefSink>(sweep);
-            sink = serial.get();
-        }
+        SweepRefSink sink(sweep);
         std::string err;
-        if (!rd->replay(sink, &err))
+        if (!rd->replay(&sink, &err))
             fatal(err);
-        if (ps)
-            ps->flush();
         return statsFromProfile(rd->exec());
     }
     rt::Env env({rt::Mode::Sim, nprocs, simOpts.quantum});
-    std::unique_ptr<sim::ParallelSweep> ps;
-    if (simOpts.sweepThreads != 1) {
-        ps = std::make_unique<sim::ParallelSweep>(sweep,
-                                                  simOpts.sweepThreads);
-        env.attachSink(ps.get());
-    } else {
-        env.attachSweep(&sweep);
-    }
+    env.attachSweep(&sweep);
     auto rec = makeRecorder(app, nprocs, cfg, simOpts);
     if (rec)
         env.attachSink(rec.get());
     RunStats out;
     out.valid = app.run(env, cfg).valid;
-    if (ps)
-        ps->flush();
     for (int p = 0; p < nprocs; ++p) {
         out.perProc.push_back(env.stats(p));
         out.exec += env.stats(p);

@@ -136,18 +136,11 @@ runWorkingSets(App& app, int nprocs, const sim::SweepConfig& sc,
     if (!simOpts.replay.empty()) {
         // Replay the recorded stream into every needed sink at once.
         auto rd = openReplay(app, nprocs, cfg, simOpts);
-        std::unique_ptr<sim::ParallelSweep> ps;
-        std::unique_ptr<SweepRefSink> serial;
+        std::unique_ptr<SweepRefSink> exactSink;
         std::vector<sim::RefSink*> sinks;
         if (needExact) {
-            if (simOpts.sweepThreads != 1) {
-                ps = std::make_unique<sim::ParallelSweep>(
-                    *out.exact, simOpts.sweepThreads);
-                sinks.push_back(ps.get());
-            } else {
-                serial = std::make_unique<SweepRefSink>(*out.exact);
-                sinks.push_back(serial.get());
-            }
+            exactSink = std::make_unique<SweepRefSink>(*out.exact);
+            sinks.push_back(exactSink.get());
         }
         if (profileLive) {
             prof = std::make_unique<sim::ReuseDistProfiler>(
@@ -158,27 +151,17 @@ runWorkingSets(App& app, int nprocs, const sim::SweepConfig& sc,
         std::string err;
         if (!rd->replay(&tee, &err))
             fatal(err);
-        if (ps)
-            ps->flush();
         out.stats = statsFromProfile(rd->exec());
     } else {
         rt::Env env({rt::Mode::Sim, nprocs, simOpts.quantum});
-        std::unique_ptr<sim::ParallelSweep> ps;
-        if (needExact) {
-            if (simOpts.sweepThreads != 1) {
-                ps = std::make_unique<sim::ParallelSweep>(
-                    *out.exact, simOpts.sweepThreads);
-                env.attachSink(ps.get());
-            } else {
-                env.attachSweep(out.exact.get());
-            }
-        }
+        if (needExact)
+            env.attachSweep(out.exact.get());
         if (profileLive) {
             if (simOpts.replicas == Replicas::Auto &&
                 threadedReplicas()) {
                 // The profiler is the broadcast engine's third
                 // replica kind: its consumer thread overlaps the
-                // exact sweep's worker pool.
+                // exact sweep on the executing thread.
                 sim::ReplicaSpec spec;
                 spec.machine.nprocs = sc.nprocs;
                 spec.machine.cache.lineSize = sc.lineSize;
@@ -196,8 +179,6 @@ runWorkingSets(App& app, int nprocs, const sim::SweepConfig& sc,
         if (rec)
             env.attachSink(rec.get());
         out.stats.valid = app.run(env, cfg).valid;
-        if (ps)
-            ps->flush();
         if (rdcast)
             rdcast->flush();
         for (int p = 0; p < nprocs; ++p) {

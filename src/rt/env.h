@@ -167,7 +167,7 @@ class Env
     /** Attach/detach reference sinks (sim mode only). */
     void attachMemSystem(sim::MemSystem* m) { mem_ = m; }
     void attachSweep(sim::CacheSweep* s) { sweep_ = s; }
-    /** Attach an additional generic sink (e.g. ParallelSweep, Trace).
+    /** Attach an additional generic sink (e.g. a Trace).
      *  Sinks are delivered to after MemSystem and CacheSweep. */
     void attachSink(sim::RefSink* s) { sinks_.push_back(s); }
 

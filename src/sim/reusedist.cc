@@ -431,10 +431,16 @@ profilePathFor(const std::string& dirOrFile, const TraceMeta& m)
 // ReuseDistProfiler
 
 ReuseDistProfiler::ReuseDistProfiler(int nprocs, int lineSize)
-    : lineShift_(log2i(lineSize)), stacks_(nprocs), rows_(nprocs)
+    : lineShift_(log2i(lineSize))
 {
+    if (nprocs < 1 || nprocs > kMaxProcs)
+        fatal("profiler processor count must be in [1, " +
+              std::to_string(kMaxProcs) + "] (got " +
+              std::to_string(nprocs) + ")");
     if (!isPow2(lineSize))
         fatal("profiler line size must be a power of two");
+    stacks_.resize(nprocs);
+    rows_.resize(nprocs);
 }
 
 void

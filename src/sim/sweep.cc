@@ -1,6 +1,9 @@
 #include "sim/sweep.h"
 
 #include <algorithm>
+#include <bit>
+#include <map>
+#include <string>
 
 #include "base/log.h"
 
@@ -11,33 +14,91 @@ namespace {
  *  tree to ~4x the live line count, so the hot random-access array
  *  stays cache resident instead of spanning a fixed 2^21 slots. */
 constexpr std::uint64_t kTimeCapMin = 1u << 16;
+
+/** Initial version-table capacity (slots; a power of two). */
+constexpr std::size_t kCohSlotsMin = std::size_t(1) << 12;
+
+/** Field k of a set block's packed 16-bit prefix lengths. */
+inline unsigned
+lenAt(const std::uint64_t* blk, int k)
+{
+    return static_cast<unsigned>(blk[k >> 2] >> ((k & 3) * 16)) & 0xffffu;
+}
+
+inline void
+lenInc(std::uint64_t* blk, int k)
+{
+    blk[k >> 2] += std::uint64_t{1} << ((k & 3) * 16);
+}
+
+inline void
+lenDec(std::uint64_t* blk, int k)
+{
+    blk[k >> 2] -= std::uint64_t{1} << ((k & 3) * 16);
+}
+
+/** Position of @p line among the first @p n entries of @p tags, or
+ *  @p n when absent. */
+inline unsigned
+listPosition(const std::uint64_t* tags, unsigned n, Addr line)
+{
+    unsigned d = 0;
+    while (d < n && tags[d] != line)
+        ++d;
+    return d;
+}
 } // namespace
 
 CacheSweep::CacheSweep(const SweepConfig& cfg)
-    : cfg_(cfg), lineShift_(log2i(cfg.lineSize)),
-      arrays_(cfg.nprocs), stacks_(cfg.nprocs), accesses_(cfg.nprocs, 0)
+    : cfg_(cfg), lineShift_(log2i(cfg.lineSize))
 {
+    if (cfg_.nprocs < 1 || cfg_.nprocs > kMaxProcs)
+        fatal("sweep processor count must be in [1, " +
+              std::to_string(kMaxProcs) +
+              "]: invalidations find the holders of a line in a " +
+              std::to_string(kMaxProcs) + "-bit mask (got " +
+              std::to_string(cfg_.nprocs) + ")");
     if (!isPow2(cfg_.lineSize))
         fatal("sweep line size must be a power of two");
+    // Set count -> the associativities simulated at that set count.
+    std::map<std::uint64_t, std::vector<int>> waysBySets;
     std::uint64_t max_lines = 0;
     for (auto s : cfg_.sizes) {
         if (!isPow2(s) || s < static_cast<std::uint64_t>(cfg_.lineSize))
             fatal("sweep cache size must be a power of two >= line size");
-        max_lines = std::max(max_lines, s >> lineShift_);
-    }
-    for (int p = 0; p < cfg_.nprocs; ++p) {
-        auto& cfgs = arrays_[p];
-        for (auto size : cfg_.sizes) {
-            for (int assoc : cfg_.assocs) {
-                TagArray ta;
-                std::uint64_t lines = size >> lineShift_;
-                ta.ways = std::min<std::uint64_t>(assoc, lines);
-                ta.setMask = lines / ta.ways - 1;
-                ta.entries.resize(lines);
-                cfgs.push_back(std::move(ta));
-            }
+        std::uint64_t lines = s >> lineShift_;
+        max_lines = std::max(max_lines, lines);
+        for (int assoc : cfg_.assocs) {
+            if (assoc < 1 || assoc > kMaxWays || !isPow2(assoc))
+                fatal("sweep associativity must be a power of two in "
+                      "[1, " + std::to_string(kMaxWays) + "] (got " +
+                      std::to_string(assoc) + ")");
+            int ways = static_cast<int>(
+                std::min<std::uint64_t>(assoc, lines));
+            waysBySets[lines / ways].push_back(ways);
         }
-        stacks_[p].init(max_lines);
+    }
+    std::size_t words = 0, counts = 0;
+    for (auto& [sets, ways] : waysBySets) {
+        std::sort(ways.begin(), ways.end());
+        ways.erase(std::unique(ways.begin(), ways.end()), ways.end());
+        SetGroup g;
+        g.setMask = sets - 1;
+        g.depth = ways.back();
+        g.ways = ways;
+        g.lenWords = static_cast<int>((ways.size() + 3) / 4);
+        g.stride = g.lenWords + g.depth;
+        g.offset = words;
+        g.firstCount = counts;
+        words += sets * g.stride;
+        counts += ways.size();
+        groups_.push_back(std::move(g));
+    }
+    procs_.resize(cfg_.nprocs);
+    for (Proc& pr : procs_) {
+        pr.sets.assign(words, 0);
+        pr.misses.assign(counts, 0);
+        pr.stack.init(max_lines);
     }
 }
 
@@ -137,70 +198,81 @@ CacheSweep::StackProfiler::touch(Addr line, std::uint64_t oldVer,
         ++hist[std::min(d + 1, maxLines + 1)];
 }
 
+VersionCoherence::VersionCoherence()
+    : slots_(kCohSlotsMin, Slot{kFree, {}}),
+      hashShift_(64 - log2i(kCohSlotsMin))
+{}
+
+std::size_t
+VersionCoherence::home(Addr lineAddr) const
+{
+    // Fibonacci hashing: the top bits of the product mix every bit of
+    // the (line-aligned) address.
+    return (lineAddr * 0x9e3779b97f4a7c15ull) >> hashShift_;
+}
+
+VersionCoherence::Line&
+VersionCoherence::lookup(Addr lineAddr)
+{
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t i = home(lineAddr);; i = (i + 1) & mask) {
+        Slot& s = slots_[i];
+        if (s.key == lineAddr)
+            return s.line;
+        if (s.key == kFree)
+            break;
+    }
+    ensure(lineAddr != kFree, "line address equals the free-slot marker");
+    if (2 * (used_ + 1) > slots_.size())
+        grow();
+    ++used_;
+    Slot& s = slots_[freeSlot(lineAddr)];
+    s.key = lineAddr;
+    return s.line;
+}
+
+std::size_t
+VersionCoherence::freeSlot(Addr lineAddr) const
+{
+    std::size_t i = home(lineAddr);
+    while (slots_[i].key != kFree)
+        i = (i + 1) & (slots_.size() - 1);
+    return i;
+}
+
 void
+VersionCoherence::grow()
+{
+    std::vector<Slot> old(2 * slots_.size(), Slot{kFree, {}});
+    old.swap(slots_);
+    --hashShift_;
+    for (const Slot& s : old)
+        if (s.key != kFree)
+            slots_[freeSlot(s.key)] = s;
+}
+
+std::uint64_t
 VersionCoherence::advance(Addr lineAddr, ProcId p, bool isWrite,
                           std::uint64_t* oldVer, std::uint64_t* newVer)
 {
-    Line& c = map_[lineAddr];
+    Line& c = lookup(lineAddr);
+    const std::uint64_t self = std::uint64_t{1} << p;
+    std::uint64_t invalidated = 0;
     *oldVer = c.version;
     if (isWrite) {
         if (c.lastWriter != p || c.readSince) {
             ++c.version;
             c.lastWriter = p;
             c.readSince = false;
+            invalidated = c.holders & ~self;
+            c.holders = 0;
         }
     } else if (c.lastWriter != p) {
         c.readSince = true;
     }
+    c.holders |= self;
     *newVer = c.version;
-}
-
-template <typename StaleFn>
-void
-CacheSweep::applyTagArray(TagArray& ta, Addr lineAddr,
-                          std::uint64_t lineId, std::uint64_t oldVer,
-                          std::uint64_t newVer, bool isWrite,
-                          StaleFn&& stale)
-{
-    std::uint64_t set = lineId & ta.setMask;
-    TagEntry* base = &ta.entries[set * ta.ways];
-    TagEntry* found = nullptr;
-    for (int w = 0; w < ta.ways; ++w) {
-        TagEntry& e = base[w];
-        if (e.valid && e.tag == lineAddr) {
-            found = &e;
-            break;
-        }
-    }
-    if (found && found->version == oldVer) {
-        found->lastUse = ++ta.useClock;
-        if (isWrite)
-            found->version = newVer;
-        return;
-    }
-    ++ta.misses;
-    TagEntry* slot = found;
-    if (!slot) {
-        // Victim preference mirrors the eager-invalidation MemSystem:
-        // an empty way first, then a way whose line has been
-        // invalidated by coherence (stale version), then LRU.
-        TagEntry* lru = base;
-        for (int w = 0; w < ta.ways && !slot; ++w) {
-            TagEntry& e = base[w];
-            if (!e.valid)
-                slot = &e;
-            else if (stale(e.tag, e.version))
-                slot = &e;
-            if (e.valid && e.lastUse < lru->lastUse)
-                lru = &e;
-        }
-        if (!slot)
-            slot = lru;
-    }
-    slot->valid = true;
-    slot->tag = lineAddr;
-    slot->version = isWrite ? newVer : oldVer;
-    slot->lastUse = ++ta.useClock;
+    return invalidated;
 }
 
 void
@@ -215,33 +287,75 @@ CacheSweep::access(ProcId p, Addr addr, int size, AccessType type)
 void
 CacheSweep::accessLine(ProcId p, Addr lineAddr, AccessType type)
 {
-    ++accesses_[p];
+    Proc& pr = procs_[p];
+    ++pr.accesses;
+    // The set blocks are independent cache misses: start them all
+    // before the version-table lookup.
+    const std::uint64_t line_id = lineAddr >> lineShift_;
+    for (const SetGroup& g : groups_)
+        __builtin_prefetch(g.block(pr.sets.data(), line_id), 1);
 
-    bool is_write = type == AccessType::Write;
+    const bool is_write = type == AccessType::Write;
     std::uint64_t old_ver, new_ver;
-    coh_.advance(lineAddr, p, is_write, &old_ver, &new_ver);
+    std::uint64_t inv =
+        coh_.advance(lineAddr, p, is_write, &old_ver, &new_ver);
+    for (; inv; inv &= inv - 1)
+        invalidate(procs_[std::countr_zero(inv)], lineAddr);
 
-    std::uint64_t line_id = lineAddr >> lineShift_;
-    auto stale = [this](Addr tag, std::uint64_t ver) {
-        return coh_.stale(tag, ver);
-    };
-    for (auto& ta : arrays_[p])
-        applyTagArray(ta, lineAddr, line_id, old_ver, new_ver, is_write,
-                      stale);
+    for (const SetGroup& g : groups_) {
+        std::uint64_t* blk = g.block(pr.sets.data(), line_id);
+        std::uint64_t* tags = blk + g.lenWords;
+        const int m = static_cast<int>(g.ways.size());
+        const unsigned d = listPosition(tags, lenAt(blk, m - 1), lineAddr);
+        // Prefix lengths nest (l_w <= l_w' for w < w'), so a hit in
+        // the smallest associativity is a hit in all of them.
+        if (d >= lenAt(blk, 0)) {
+            for (int k = 0; k < m; ++k) {
+                const unsigned l = lenAt(blk, k);
+                if (d < l)
+                    continue;
+                ++pr.misses[g.firstCount + k];
+                if (l < static_cast<unsigned>(g.ways[k]))
+                    lenInc(blk, k);
+            }
+        }
+        // Move to front; a miss in a full list drops its LRU entry.
+        for (unsigned i = std::min<unsigned>(d, g.depth - 1); i > 0; --i)
+            tags[i] = tags[i - 1];
+        tags[0] = lineAddr;
+    }
 
-    stacks_[p].touch(lineAddr, old_ver, new_ver, is_write);
+    pr.stack.touch(lineAddr, old_ver, new_ver, is_write);
+}
+
+void
+CacheSweep::invalidate(Proc& pr, Addr lineAddr)
+{
+    const std::uint64_t line_id = lineAddr >> lineShift_;
+    for (const SetGroup& g : groups_) {
+        std::uint64_t* blk = g.block(pr.sets.data(), line_id);
+        std::uint64_t* tags = blk + g.lenWords;
+        const int m = static_cast<int>(g.ways.size());
+        const unsigned n = lenAt(blk, m - 1);
+        const unsigned d = listPosition(tags, n, lineAddr);
+        if (d == n)
+            continue;
+        for (unsigned i = d + 1; i < n; ++i)
+            tags[i - 1] = tags[i];
+        for (int k = 0; k < m; ++k)
+            if (lenAt(blk, k) > d)
+                lenDec(blk, k);
+    }
 }
 
 void
 CacheSweep::resetStats()
 {
-    std::fill(accesses_.begin(), accesses_.end(), 0);
-    for (auto& cfgs : arrays_)
-        for (auto& ta : cfgs)
-            ta.misses = 0;
-    for (auto& st : stacks_) {
-        std::fill(st.hist.begin(), st.hist.end(), 0);
-        st.coldOrStale = 0;
+    for (Proc& pr : procs_) {
+        pr.accesses = 0;
+        std::fill(pr.misses.begin(), pr.misses.end(), 0);
+        std::fill(pr.stack.hist.begin(), pr.stack.hist.end(), 0);
+        pr.stack.coldOrStale = 0;
     }
 }
 
@@ -249,39 +363,50 @@ std::uint64_t
 CacheSweep::accesses() const
 {
     std::uint64_t t = 0;
-    for (auto a : accesses_)
-        t += a;
+    for (const Proc& pr : procs_)
+        t += pr.accesses;
     return t;
+}
+
+std::size_t
+CacheSweep::countIndex(std::uint64_t size, int assoc) const
+{
+    if (std::find(cfg_.sizes.begin(), cfg_.sizes.end(), size) ==
+            cfg_.sizes.end() ||
+        std::find(cfg_.assocs.begin(), cfg_.assocs.end(), assoc) ==
+            cfg_.assocs.end())
+        fatal("requested sweep operating point was not simulated");
+    const std::uint64_t lines = size >> lineShift_;
+    const int ways =
+        static_cast<int>(std::min<std::uint64_t>(assoc, lines));
+    const std::uint64_t setMask = lines / ways - 1;
+    for (const SetGroup& g : groups_) {
+        if (g.setMask != setMask)
+            continue;
+        auto it = std::find(g.ways.begin(), g.ways.end(), ways);
+        return g.firstCount + (it - g.ways.begin());
+    }
+    panic("simulated sweep operating point has no set group");
 }
 
 std::uint64_t
 CacheSweep::misses(std::uint64_t size, int assoc) const
 {
+    std::uint64_t m = 0;
     if (assoc == 0) {
         // Fully associative: from the stack-distance histograms.
         std::uint64_t cap_lines = size >> lineShift_;
-        std::uint64_t m = 0;
-        for (const auto& st : stacks_) {
+        for (const Proc& pr : procs_) {
+            const StackProfiler& st = pr.stack;
             m += st.coldOrStale;
             for (std::uint64_t d = cap_lines + 1; d < st.hist.size(); ++d)
                 m += st.hist[d];
         }
         return m;
     }
-    // Finite associativity: locate the config index.
-    int size_idx = -1, assoc_idx = -1;
-    for (size_t i = 0; i < cfg_.sizes.size(); ++i)
-        if (cfg_.sizes[i] == size)
-            size_idx = static_cast<int>(i);
-    for (size_t i = 0; i < cfg_.assocs.size(); ++i)
-        if (cfg_.assocs[i] == assoc)
-            assoc_idx = static_cast<int>(i);
-    if (size_idx < 0 || assoc_idx < 0)
-        fatal("requested sweep operating point was not simulated");
-    int idx = size_idx * static_cast<int>(cfg_.assocs.size()) + assoc_idx;
-    std::uint64_t m = 0;
-    for (const auto& cfgs : arrays_)
-        m += cfgs[idx].misses;
+    const std::size_t idx = countIndex(size, assoc);
+    for (const Proc& pr : procs_)
+        m += pr.misses[idx];
     return m;
 }
 
@@ -290,177 +415,6 @@ CacheSweep::missRate(std::uint64_t size, int assoc) const
 {
     std::uint64_t a = accesses();
     return a ? double(misses(size, assoc)) / double(a) : 0.0;
-}
-
-// ---------------------------------------------------------------------
-// ParallelSweep
-
-ParallelSweep::ParallelSweep(CacheSweep& sweep, int threads,
-                             std::size_t chunkRecords)
-    : sweep_(sweep), chunkRecords_(chunkRecords)
-{
-    ensure(chunkRecords_ > 0, "chunk must hold at least one record");
-    buf_.reserve(chunkRecords_);
-
-    const int nprocs = sweep_.cfg_.nprocs;
-    const int ncfg = static_cast<int>(sweep_.cfg_.sizes.size() *
-                                      sweep_.cfg_.assocs.size());
-    if (threads == 0) {
-        unsigned hc = std::thread::hardware_concurrency();
-        threads = hc ? static_cast<int>(std::min(hc, 16u)) : 1;
-    }
-    ensure(threads >= 1, "thread count must be positive");
-    threads = std::min(threads, ncfg + nprocs);
-
-    // Inline replay owns every column.
-    inline_.stackMine.assign(nprocs, 1);
-    for (int c = 0; c < ncfg; ++c)
-        inline_.cfgCols.push_back(c);
-    if (threads <= 1)
-        return;
-
-    // Greedy longest-processing-time assignment of columns to workers.
-    // A configuration column does work on every record; a stack column
-    // only on its processor's records, but a Fenwick touch costs a few
-    // tag-array probes.
-    workers_.resize(threads);
-    std::vector<std::uint64_t> load(threads, 0);
-    for (auto& w : workers_)
-        w.stackMine.assign(nprocs, 0);
-    auto least = [&] {
-        int best = 0;
-        for (int i = 1; i < threads; ++i)
-            if (load[i] < load[best])
-                best = i;
-        return best;
-    };
-    const std::uint64_t wCfg = 2 * std::uint64_t(nprocs);
-    const std::uint64_t wStack = 5;
-    for (int c = 0; c < ncfg; ++c) {
-        int i = least();
-        workers_[i].cfgCols.push_back(c);
-        load[i] += wCfg;
-    }
-    for (int p = 0; p < nprocs; ++p) {
-        int i = least();
-        workers_[i].stackMine[p] = 1;
-        load[i] += wStack;
-    }
-    for (auto& w : workers_)
-        w.th = std::thread([this, &w] { workerLoop(w); });
-}
-
-ParallelSweep::~ParallelSweep()
-{
-    flush();
-    if (!workers_.empty()) {
-        {
-            std::lock_guard<std::mutex> lk(mu_);
-            stop_ = true;
-        }
-        cvWork_.notify_all();
-        for (auto& w : workers_)
-            w.th.join();
-    }
-}
-
-void
-ParallelSweep::captureLine(ProcId p, Addr lineAddr, bool isWrite)
-{
-    ++sweep_.accesses_[p];
-    std::uint64_t oldVer, newVer;
-    sweep_.coh_.advance(lineAddr, p, isWrite, &oldVer, &newVer);
-    buf_.push_back({lineAddr, oldVer, newVer,
-                    static_cast<std::int16_t>(p),
-                    static_cast<std::uint8_t>(isWrite)});
-    if (buf_.size() >= chunkRecords_)
-        flush();
-}
-
-void
-ParallelSweep::access(const AccessRec& r)
-{
-    const int ls = sweep_.cfg_.lineSize;
-    Addr first = alignDown(r.addr, ls);
-    Addr last = alignDown(r.addr + r.size - 1, ls);
-    bool isWrite = r.type == AccessType::Write;
-    for (Addr line = first; line <= last; line += ls)
-        captureLine(r.proc, line, isWrite);
-}
-
-void
-ParallelSweep::replayChunk(Worker& w, const Rec* recs, std::size_t n)
-{
-    auto stale = [&w](Addr tag, std::uint64_t ver) {
-        auto it = w.verMap.find(tag);
-        return (it == w.verMap.end() ? 0u : it->second) != ver;
-    };
-    const int shift = sweep_.lineShift_;
-    for (std::size_t i = 0; i < n; ++i) {
-        const Rec& r = recs[i];
-        if (r.newVer != r.oldVer)
-            w.verMap[r.line] = r.newVer;
-        std::uint64_t lineId = r.line >> shift;
-        auto& cols = sweep_.arrays_[r.proc];
-        bool isWrite = r.write != 0;
-        for (int c : w.cfgCols)
-            CacheSweep::applyTagArray(cols[c], r.line, lineId, r.oldVer,
-                                      r.newVer, isWrite, stale);
-        if (w.stackMine[r.proc])
-            sweep_.stacks_[r.proc].touch(r.line, r.oldVer, r.newVer,
-                                         isWrite);
-    }
-}
-
-void
-ParallelSweep::workerLoop(Worker& w)
-{
-    std::uint64_t seen = 0;
-    for (;;) {
-        const Rec* recs;
-        std::size_t n;
-        {
-            std::unique_lock<std::mutex> lk(mu_);
-            cvWork_.wait(lk, [&] { return stop_ || gen_ != seen; });
-            if (gen_ == seen)
-                return;  // stopped with no new work
-            seen = gen_;
-            recs = batch_;
-            n = batchN_;
-        }
-        replayChunk(w, recs, n);
-        {
-            std::lock_guard<std::mutex> lk(mu_);
-            if (--pending_ == 0)
-                cvDone_.notify_one();
-        }
-    }
-}
-
-void
-ParallelSweep::flush()
-{
-    if (buf_.empty())
-        return;
-    if (workers_.empty()) {
-        replayChunk(inline_, buf_.data(), buf_.size());
-    } else {
-        std::unique_lock<std::mutex> lk(mu_);
-        batch_ = buf_.data();
-        batchN_ = buf_.size();
-        pending_ = static_cast<int>(workers_.size());
-        ++gen_;
-        cvWork_.notify_all();
-        cvDone_.wait(lk, [&] { return pending_ == 0; });
-    }
-    buf_.clear();
-}
-
-void
-ParallelSweep::resetStats()
-{
-    flush();
-    sweep_.resetStats();
 }
 
 } // namespace splash::sim

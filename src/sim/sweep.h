@@ -3,19 +3,33 @@
  * Single-pass multi-configuration cache sweep.
  *
  * Figure 3 of the paper needs miss rate as a function of cache size
- * (1 KB ... 1 MB) for 1/2/4-way and fully-associative caches -- 34
- * configurations per processor.  Simulating them one at a time would
- * require 34 executions per application, so this component simulates
- * all of them simultaneously in a single pass over the reference
- * stream:
+ * (1 KB ... 1 MB) for 1/2/4-way and fully-associative caches -- 44
+ * operating points per processor.  Simulating them one at a time would
+ * require one execution per point, so this component simulates all of
+ * them in a single pass over the reference stream:
  *
- *  - Each finite-associativity configuration keeps only a tag array.
- *  - Coherence is modeled with lazy version stamps: a per-line global
- *    version is bumped whenever a write must invalidate other copies
- *    (writer changed, or somebody else read since the last write).  A
- *    cached tag whose stored version is stale counts as a coherence
- *    miss in *every* configuration -- which is exact, because
- *    invalidations are independent of cache geometry.
+ *  - Finite associativity uses LRU inclusion (Mattson et al. 1970;
+ *    Hill & Smith 1989): caches with the same number of sets see the
+ *    same set index, and a w-way LRU set holds the w most recently
+ *    used lines of that set.  So each processor keeps one MRU-ordered
+ *    list per distinct set count (13 for the Figure-3 grid), as deep
+ *    as the largest associativity at that set count, plus per set a
+ *    prefix length l_w <= w for every smaller associativity w: the
+ *    w-way cache holds exactly the first l_w entries.  A reference at
+ *    list position d hits the w-way cache iff d < l_w; a miss sets
+ *    l_w = min(l_w + 1, w); the line moves to the front.  One probe
+ *    per set count answers every associativity at once.
+ *  - Coherence: a per-line global version is bumped whenever a write
+ *    must invalidate other copies (writer changed, or somebody else
+ *    read since the last write).  Invalidations are independent of
+ *    cache geometry, so they hit every configuration alike.  Each
+ *    line keeps a mask of the processors that touched it since its
+ *    last bump; a bump removes the line from those processors' lists
+ *    (eagerly) and decrements every l_w greater than its position.
+ *    The hole it leaves is filled before any LRU eviction, which is
+ *    exactly the "empty way, then invalidated way, then LRU" victim
+ *    choice of a per-configuration tag array (the differential oracle
+ *    in tests/sim/tag_array_sweep.h).
  *  - Fully-associative LRU caches of every size are captured at once
  *    with a Mattson stack-distance profile (Fenwick-tree
  *    implementation with periodic timestamp compaction; the tree's
@@ -24,23 +38,11 @@
  *
  * Upgrades (a processor writing a Shared line it still holds) are
  * hits, matching the full MemSystem's accounting.
- *
- * ParallelSweep exploits the same independence for host parallelism:
- * the version-stamp update is the only cross-configuration state, so
- * once each reference is annotated with its (before, after) version
- * pair at capture time, every tag array and every stack profiler can
- * be replayed independently.  References are buffered into chunks and
- * replayed across a worker pool, each worker owning a disjoint set of
- * configurations/stacks -- results are bit-identical to the serial
- * sweep for any worker count.
  */
 #ifndef SPLASH2_SIM_SWEEP_H
 #define SPLASH2_SIM_SWEEP_H
 
-#include <condition_variable>
 #include <cstdint>
-#include <mutex>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -62,47 +64,58 @@ struct SweepConfig
     std::vector<int> assocs = fig3Assocs();
 };
 
-/** Version-stamp lazy coherence: a per-line global version is bumped
+/** Version-stamp coherence: a per-line global version is bumped
  *  whenever a write must invalidate other copies (writer changed, or
  *  somebody else read since the last write).  A copy stored at a now
  *  stale version has been coherence-invalidated -- at *every* cache
  *  geometry, because invalidations are independent of capacity and
  *  associativity.  The single piece of cross-configuration state of a
- *  sweep; shared by the serial CacheSweep, ParallelSweep's capture,
- *  and the reuse-distance profiler (sim/reusedist.h) so the three can
- *  never drift. */
+ *  sweep; shared by CacheSweep and the reuse-distance profiler
+ *  (sim/reusedist.h) so the two can never drift.
+ *
+ *  Lines live in a flat open-addressed table (linear probing, load
+ *  factor <= 1/2).  Each line also records which processors touched it
+ *  since its last bump, so a bump can name the copies it invalidates;
+ *  processors are therefore bounded by kMaxProcs. */
 class VersionCoherence
 {
   public:
-    /** Advance the state of @p lineAddr for one access by @p p and
-     *  report the (before, after) versions. */
-    void advance(Addr lineAddr, ProcId p, bool isWrite,
-                 std::uint64_t* oldVer, std::uint64_t* newVer);
+    VersionCoherence();
 
-    /** Current version of @p lineAddr (0 until the first bump). */
-    std::uint64_t
-    version(Addr lineAddr) const
-    {
-        auto it = map_.find(lineAddr);
-        return it == map_.end() ? 0 : it->second.version;
-    }
-
-    /** True when a copy of @p lineAddr stored at @p ver has been
-     *  invalidated by a later conflicting write. */
-    bool
-    stale(Addr lineAddr, std::uint64_t ver) const
-    {
-        return version(lineAddr) != ver;
-    }
+    /** Advance the state of @p lineAddr for one access by processor
+     *  @p p (0 <= p < kMaxProcs) and report the (before, after)
+     *  versions.  Returns the mask of the *other* processors that
+     *  touched the line since its previous bump -- the holders of the
+     *  copies this access invalidated -- or 0 when the version did not
+     *  move. */
+    std::uint64_t advance(Addr lineAddr, ProcId p, bool isWrite,
+                          std::uint64_t* oldVer, std::uint64_t* newVer);
 
   private:
     struct Line
     {
         std::uint64_t version = 0;
+        std::uint64_t holders = 0;  ///< bit p: touched since last bump
         ProcId lastWriter = -1;
         bool readSince = false;
     };
-    std::unordered_map<Addr, Line> map_;
+    struct Slot
+    {
+        Addr key;
+        Line line;
+    };
+    /** Marks a free slot (lookup panics on it as a line address). */
+    static constexpr Addr kFree = ~Addr{0};
+
+    std::size_t home(Addr lineAddr) const;
+    /** First free slot on @p lineAddr's probe sequence. */
+    std::size_t freeSlot(Addr lineAddr) const;
+    Line& lookup(Addr lineAddr);
+    void grow();
+
+    std::vector<Slot> slots_;
+    int hashShift_ = 0;  ///< 64 - log2(slots_.size())
+    std::size_t used_ = 0;
 };
 
 /** Mattson LRU stack-distance core for one processor's line stream
@@ -151,7 +164,14 @@ class StackDistance
 class CacheSweep
 {
   public:
+    /** Rejects (fatal) a processor count outside [1, kMaxProcs], a
+     *  line size or capacity that is not a power of two, and an
+     *  associativity that is not a power of two in [1, kMaxWays]. */
     explicit CacheSweep(const SweepConfig& cfg);
+
+    /** Largest associativity a finite configuration may use: prefix
+     *  lengths are 16-bit fields. */
+    static constexpr int kMaxWays = 1 << 15;
 
     /** Issue one reference from processor @p p. */
     void access(ProcId p, Addr addr, int size, AccessType type);
@@ -174,26 +194,27 @@ class CacheSweep
     void resetStats();
 
   private:
-    friend class ParallelSweep;
-
-    /** Version stamps and LRU clocks are 64-bit: they advance with the
-     *  reference count, which exceeds 2^32 at large problem scales. */
-    struct TagEntry
+    /** All finite configurations sharing one set count.  Per set, a
+     *  block of `stride` words: `lenWords` words packing one 16-bit
+     *  prefix length per associativity (ways[k] -> field k; the last
+     *  field, for the deepest associativity, is the list length),
+     *  then `depth` line addresses in MRU order. */
+    struct SetGroup
     {
-        Addr tag = 0;
-        std::uint64_t version = 0;
-        std::uint64_t lastUse = 0;
-        bool valid = false;
-    };
-
-    /** One finite-associativity tag array. */
-    struct TagArray
-    {
-        int ways = 0;
         std::uint64_t setMask = 0;
-        std::uint64_t useClock = 0;
-        std::vector<TagEntry> entries;
-        std::uint64_t misses = 0;
+        int depth = 0;
+        std::vector<int> ways;  ///< ascending; ways.back() == depth
+        int lenWords = 0;
+        int stride = 0;
+        std::size_t offset = 0;     ///< first word in Proc::sets
+        std::size_t firstCount = 0; ///< index of ways[0] in Proc::misses
+
+        /** The block of the set @p lineId maps to, in @p sets. */
+        std::uint64_t*
+        block(std::uint64_t* sets, std::uint64_t lineId) const
+        {
+            return sets + offset + (lineId & setMask) * stride;
+        }
     };
 
     /** Per-processor stack profile: the shared StackDistance core
@@ -210,111 +231,25 @@ class CacheSweep
                    bool isWrite);
     };
 
-    /** Replay one annotated line reference into one tag array.
-     *  @p stale decides whether a resident victim candidate has been
-     *  coherence-invalidated: called with (tag, storedVersion). */
-    template <typename StaleFn>
-    static void applyTagArray(TagArray& ta, Addr lineAddr,
-                              std::uint64_t lineId, std::uint64_t oldVer,
-                              std::uint64_t newVer, bool isWrite,
-                              StaleFn&& stale);
+    struct Proc
+    {
+        std::vector<std::uint64_t> sets;    ///< every group's set blocks
+        std::vector<std::uint64_t> misses;  ///< per (group, way) count
+        StackProfiler stack;
+        std::uint64_t accesses = 0;
+    };
 
     void accessLine(ProcId p, Addr lineAddr, AccessType type);
+    /** Drop @p lineAddr from every list of processor @p pr. */
+    void invalidate(Proc& pr, Addr lineAddr);
+    /** Index into Proc::misses of a simulated finite point. */
+    std::size_t countIndex(std::uint64_t size, int assoc) const;
 
     SweepConfig cfg_;
     int lineShift_;
     VersionCoherence coh_;
-    /** arrays_[p][configIndex] */
-    std::vector<std::vector<TagArray>> arrays_;
-    std::vector<StackProfiler> stacks_;
-    std::vector<std::uint64_t> accesses_;
-};
-
-/** Captures the reference stream into annotated chunks and replays
- *  them into a CacheSweep across a host worker pool.
- *
- *  Work partition: each worker owns a disjoint subset of the
- *  (configuration x all-processors) tag-array columns and of the
- *  per-processor stack profilers, assigned greedily by estimated cost.
- *  Victim selection needs the version of arbitrary *other* lines at
- *  replay time, so each worker maintains a sparse line -> version map
- *  updated only when a record's annotation shows a version bump --
- *  exact, because a line absent from the map has never been bumped
- *  (version 0).
- *
- *  Feed it via access() (it is a RefSink, so it can be attached to an
- *  Env with attachSink); call flush() -- or destroy it, or
- *  resetStats() -- before querying the underlying sweep.  Results are
- *  bit-identical to the serial CacheSweep for any thread count.
- *
- *  While a ParallelSweep is attached, drive the underlying sweep only
- *  through it: direct CacheSweep::access calls would reorder the
- *  stream relative to buffered records. */
-class ParallelSweep final : public RefSink
-{
-  public:
-    /** @param threads worker threads; 0 = hardware concurrency, 1 =
-     *  replay inline on the feeding thread (no pool). */
-    explicit ParallelSweep(CacheSweep& sweep, int threads,
-                           std::size_t chunkRecords = std::size_t(1)
-                                                      << 16);
-    ~ParallelSweep() override;
-
-    ParallelSweep(const ParallelSweep&) = delete;
-    ParallelSweep& operator=(const ParallelSweep&) = delete;
-
-    void access(const AccessRec& r) override;
-    void resetStats() override;
-
-    /** Replay all buffered records; the sweep is up to date after. */
-    void flush();
-
-    /** Worker threads in the pool (0 when replaying inline). */
-    int threads() const { return static_cast<int>(workers_.size()); }
-
-  private:
-    /** One captured line reference, annotated at capture time with the
-     *  version-stamp transition so replay needs no shared state. */
-    struct Rec
-    {
-        Addr line;
-        std::uint64_t oldVer;
-        std::uint64_t newVer;
-        std::int16_t proc;
-        std::uint8_t write;
-    };
-
-    struct Worker
-    {
-        std::vector<int> cfgCols;      ///< owned configuration indices
-        std::vector<char> stackMine;   ///< [proc] -> owns that stack
-        /** Line versions as of the record being replayed (sparse:
-         *  only ever-bumped lines appear; absent means version 0). */
-        std::unordered_map<Addr, std::uint64_t> verMap;
-        std::thread th;
-    };
-
-    void captureLine(ProcId p, Addr lineAddr, bool isWrite);
-    void replayChunk(Worker& w, const Rec* recs, std::size_t n);
-    void workerLoop(Worker& w);
-
-    CacheSweep& sweep_;
-    std::size_t chunkRecords_;
-    std::vector<Rec> buf_;
-
-    /** Inline-replay state (threads == 1): reuses Worker bookkeeping
-     *  with every column owned. */
-    Worker inline_;
-
-    std::vector<Worker> workers_;
-    std::mutex mu_;
-    std::condition_variable cvWork_;
-    std::condition_variable cvDone_;
-    const Rec* batch_ = nullptr;
-    std::size_t batchN_ = 0;
-    std::uint64_t gen_ = 0;
-    int pending_ = 0;
-    bool stop_ = false;
+    std::vector<SetGroup> groups_;
+    std::vector<Proc> procs_;
 };
 
 } // namespace splash::sim

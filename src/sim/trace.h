@@ -18,8 +18,8 @@
  * without widening the hot record ring.
  *
  * RefSink is the consumer interface for components beyond the two
- * built-in sinks (MemSystem, CacheSweep) -- e.g. the parallel sweep
- * replayer, the broadcast replay, the race detector, or a trace
+ * built-in sinks (MemSystem, CacheSweep) -- e.g. the broadcast
+ * replay, the reuse-distance profiler, the race detector, or a trace
  * capture buffer.
  */
 #ifndef SPLASH2_SIM_TRACE_H

@@ -57,7 +57,6 @@ TEST(EngineOpts, DefaultsParse)
     ASSERT_TRUE(parse({}, &eng));
     EXPECT_EQ(eng.jobs, 1);
     EXPECT_EQ(eng.sim.quantum, 250u);
-    EXPECT_EQ(eng.sim.sweepThreads, 0);
     EXPECT_EQ(eng.sim.checkPeriod, 0u);
 }
 
@@ -65,12 +64,11 @@ TEST(EngineOpts, ValidValuesLand)
 {
     EngineOpts eng;
     ASSERT_TRUE(parse({"--jobs", "4", "--quantum", "100", "--replicas",
-                       "off", "--sweep-threads", "2", "--check", "512"},
+                       "off", "--check", "512"},
                       &eng));
     EXPECT_EQ(eng.jobs, 4);
     EXPECT_EQ(eng.sim.quantum, 100u);
     EXPECT_EQ(eng.sim.replicas, Replicas::Off);
-    EXPECT_EQ(eng.sim.sweepThreads, 2);
     EXPECT_EQ(eng.sim.checkPeriod, 512u);
 }
 
@@ -88,13 +86,12 @@ TEST(EngineOpts, RejectsBadQuanta)
     EXPECT_FALSE(parse({"--quantum", "-250"}, &eng));
 }
 
-TEST(EngineOpts, RejectsNegativeSweepThreadsAndCheck)
+TEST(EngineOpts, RejectsNegativeCheck)
 {
     EngineOpts eng;
-    EXPECT_FALSE(parse({"--sweep-threads", "-1"}, &eng));
     EXPECT_FALSE(parse({"--check", "-1"}, &eng));
-    // 0 stays meaningful for both (hardware concurrency / off).
-    EXPECT_TRUE(parse({"--sweep-threads", "0", "--check", "0"}, &eng));
+    // 0 stays meaningful (off).
+    EXPECT_TRUE(parse({"--check", "0"}, &eng));
 }
 
 TEST(EngineOpts, RejectsUnknownModes)
@@ -193,25 +190,6 @@ TEST(EngineOpts, RejectsUnknownSweepModes)
     EXPECT_FALSE(parse({"--sweep", "Model"}, &eng));
     EXPECT_FALSE(parse({"--sweep", "exactmodel"}, &eng));
     EXPECT_FALSE(parse({"--sweep", ""}, &eng));
-}
-
-TEST(EngineOpts, RejectsSweepThreadsWithModelOnlySweep)
-{
-    // --sweep-threads sizes the exact engine's replay pool; with
-    // --sweep model there is no exact engine, so an explicit value is
-    // a contradiction, not a silent no-op.
-    EngineOpts eng;
-    EXPECT_FALSE(
-        parse({"--sweep", "model", "--sweep-threads", "4"}, &eng));
-    EXPECT_FALSE(
-        parse({"--sweep-threads", "0", "--sweep", "model"}, &eng));
-    // The exact engine rides along in Both mode, so the pool knob is
-    // meaningful there -- and with the default (exact) engine.
-    EXPECT_TRUE(
-        parse({"--sweep", "both", "--sweep-threads", "4"}, &eng));
-    EXPECT_TRUE(
-        parse({"--sweep", "exact", "--sweep-threads", "4"}, &eng));
-    EXPECT_TRUE(parse({"--sweep", "model"}, &eng));
 }
 
 TEST(EngineOpts, RecordAndReplayLand)
@@ -334,7 +312,6 @@ TEST(EngineOpts, ConflictDiagnosticsShareOneShape)
         {"--race-inject", "all", "--sweep", "exact"},
         {"--interconnect", "bus", "--sweep", "both"},
         {"--inject", "ghost-exclusive"},
-        {"--sweep", "model", "--sweep-threads", "4"},
         {"--record", dir + "cli_conflict_store", "--replay", dir},
     };
     for (const auto& combo : combos) {
@@ -416,9 +393,10 @@ TEST(Options, UnknownFlagIsReported)
 
 TEST(Options, RemovedEngineFlagsAreUnknown)
 {
-    // No engine flag selects an execution backend or a delivery shape:
-    // those spellings are unknown flags like any other.
-    for (const char* removed : {"backend", "delivery"}) {
+    // No engine flag selects an execution backend, a delivery shape or
+    // a sweep replay pool: those spellings are unknown flags like any
+    // other.
+    for (const char* removed : {"backend", "delivery", "sweep-threads"}) {
         bool unknown = false;
         std::string err = leftoverFlags(
             {"--app", "fft", std::string("--") + removed, "fiber"},

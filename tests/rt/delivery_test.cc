@@ -6,21 +6,16 @@
 // processor runs at a time and the ring is drained before every
 // switch, the delivered order must equal the execution order.  These
 // tests check that order against what the bodies themselves logged,
-// across ring wrap-arounds, quantum-1 slicing and blocking sync, and
-// check the multi-threaded sweep replay that rides on the ring against
-// the serial online sweep.
+// across ring wrap-arounds, quantum-1 slicing and blocking sync.
 #include <gtest/gtest.h>
 
-#include <string>
 #include <vector>
 
-#include "harness/app.h"
-#include "harness/experiment.h"
+#include "rt/env.h"
 #include "rt/sync.h"
 #include "sim/trace.h"
 
 using namespace splash;
-using namespace splash::harness;
 
 namespace {
 
@@ -122,59 +117,4 @@ TEST(BatchedDelivery, OrderSurvivesQuantumOne)
 TEST(BatchedDelivery, SyncEdgesLandAtTheirStreamPosition)
 {
     expectDeliveredInIssueOrder(4, 97, 2000, /*withBarrier=*/true);
-}
-
-namespace {
-
-/** Run the working-set sweep for @p app at 8 processors with the
- *  given sweep worker count. */
-sim::CacheSweep
-sweepRun(const std::string& name, long n, int sweepThreads)
-{
-    App* app = findApp(name);
-    EXPECT_NE(app, nullptr) << name;
-    AppConfig cfg;
-    cfg.n = n;
-    sim::SweepConfig sc;
-    sc.nprocs = 8;
-    sim::CacheSweep sweep(sc);
-    SimOpts simOpts;
-    simOpts.sweepThreads = sweepThreads;
-    runWithSweep(*app, 8, sweep, cfg, simOpts);
-    return sweep;
-}
-
-void
-expectSameSweep(const sim::CacheSweep& a, const sim::CacheSweep& b)
-{
-    EXPECT_EQ(a.accesses(), b.accesses());
-    const sim::SweepConfig& sc = a.config();
-    for (std::uint64_t size : sc.sizes) {
-        for (int assoc : {1, 2, 4, 0}) {
-            EXPECT_EQ(a.misses(size, assoc), b.misses(size, assoc))
-                << size << "B " << assoc << "-way";
-            EXPECT_EQ(a.missRate(size, assoc), b.missRate(size, assoc))
-                << size << "B " << assoc << "-way";
-        }
-    }
-}
-
-} // namespace
-
-TEST(SweepDifferential, ParallelReplayIdenticalToSerialOnline)
-{
-    // Serial online sweep versus the multi-threaded capture/replay
-    // pipeline.
-    auto serial = sweepRun("fft", 12, 1);
-    auto parallel = sweepRun("fft", 12, 3);
-    expectSameSweep(serial, parallel);
-}
-
-TEST(SweepDifferential, WorkerCountInvariant)
-{
-    auto one = sweepRun("lu", 64, 1);
-    for (int threads : {2, 5}) {
-        auto many = sweepRun("lu", 64, threads);
-        expectSameSweep(one, many);
-    }
 }

@@ -6,18 +6,23 @@
 //
 // The same seeded streams also run as scheduled team programs through
 // the batched delivery ring (delivered order must equal issue order,
-// and the result must equal the reference model's), and cross-validate
-// the parallel sweep replay pipeline against the serial online sweep:
-// all must be state- and statistics-exact.
+// and the result must equal the reference model's).  Finally the
+// multi-configuration sweep (one MRU list per set count, eager
+// invalidation) is fuzzed against the per-configuration tag-array
+// oracle (tag_array_sweep.h): every (size, assoc) miss count must be
+// equal.
 #include <gtest/gtest.h>
 
 #include <map>
 #include <set>
+#include <tuple>
 #include <vector>
 
+#include "harness/experiment.h"
 #include "rt/env.h"
 #include "sim/memsys.h"
 #include "sim/sweep.h"
+#include "tag_array_sweep.h"
 
 using namespace splash;
 using namespace splash::sim;
@@ -275,46 +280,154 @@ TEST_P(ReferenceFuzz, BatchedDeliveryStateAndStatExact)
     EXPECT_TRUE(mem.checkCoherenceInvariants());
 }
 
-/** The parallel sweep replay must reproduce the serial online sweep
- *  exactly at every operating point, for any worker count and chunk
- *  size -- including tiny chunks that force many flush barriers. */
-TEST_P(ReferenceFuzz, ParallelSweepStatExact)
+// ----------------------------------------------------------------------
+// The sweep against the tag-array oracle.
+
+namespace {
+
+/** The Figure-3 grid, or (@p altGrid) 32 B lines, 8-way, and sizes
+ *  down to one line so that ways clamp to the line count. */
+SweepConfig
+oracleConfig(int nprocs, bool altGrid)
 {
-    const int nprocs = 6;
     SweepConfig sc;
     sc.nprocs = nprocs;
-    CacheSweep serial(sc);
-    std::uint64_t x = GetParam();
-    std::vector<FuzzStep> steps;
-    std::vector<int> procs;
-    for (int i = 0; i < 40000; ++i) {
-        steps.push_back(fuzzStep(x));
-        procs.push_back(static_cast<int>((x >> 60) % nprocs));
+    if (altGrid) {
+        sc.lineSize = 32;
+        sc.sizes = {32, 64, 128, 256, 512, 2048, 16384, 131072};
+        sc.assocs = {1, 2, 4, 8};
     }
-    for (std::size_t i = 0; i < steps.size(); ++i)
-        serial.access(procs[i], steps[i].addr, 8,
-                      steps[i].write ? AccessType::Write
-                                     : AccessType::Read);
-    for (int threads : {1, 2, 4}) {
+    return sc;
+}
+
+/** Every simulated operating point of @p sc, fully associative
+ *  included, must agree between the sweep and the oracle. */
+void
+expectSameMisses(const CacheSweep& sweep,
+                 const TagArraySweep& oracle,
+                 const SweepConfig& sc, const char* when)
+{
+    ASSERT_EQ(sweep.accesses(), oracle.accesses()) << when;
+    std::vector<int> assocs = sc.assocs;
+    assocs.push_back(kFullyAssoc);
+    for (std::uint64_t size : sc.sizes)
+        for (int assoc : assocs)
+            EXPECT_EQ(sweep.misses(size, assoc),
+                      oracle.misses(size, assoc))
+                << when << ": " << size << "B " << assoc << "-way";
+}
+
+} // namespace
+
+class SweepOracle
+    : public ::testing::TestWithParam<std::tuple<std::uint64_t, int, bool>>
+{};
+
+/** A sharing-heavy stream: a small hot pool every processor reads and
+ *  writes, private regions, a strided pool that collides in every set
+ *  count, and line-spanning accesses; counters reset mid-stream. */
+TEST_P(SweepOracle, EveryOperatingPointMatchesTagArrays)
+{
+    const auto [seed, nprocs, altGrid] = GetParam();
+    const SweepConfig sc = oracleConfig(nprocs, altGrid);
+    const Addr ls = static_cast<Addr>(sc.lineSize);
+    CacheSweep sweep(sc);
+    TagArraySweep oracle(sc);
+
+    std::uint64_t x = seed;
+    const int kRefs = 30000;
+    for (int i = 0; i < kRefs; ++i) {
+        if (i == kRefs / 2) {
+            expectSameMisses(sweep, oracle, sc, "before reset");
+            sweep.resetStats();
+            oracle.resetStats();
+        }
+        x = x * 6364136223846793005ull + 1442695040888963407ull;
+        const int p = static_cast<int>((x >> 58) % nprocs);
+        const std::uint64_t r = x >> 20;
+        Addr a;
+        int size = 8;
+        switch ((x >> 8) % 10) {
+          case 0: case 1: case 2: case 3:  // hot shared pool
+            a = 0x400000 + (r % 48) * ls + (r >> 12) % 4 * 8;
+            break;
+          case 4: case 5: case 6:  // private region
+            a = 0x10000000 + Addr(p) * 0x100000 + (r % 900) * ls;
+            break;
+          case 7: case 8:  // same set at every set count
+            a = 0x20000000 + (r % 40) * 0x40000;
+            break;
+          default:  // straddles a line boundary
+            a = 0x400000 + (r % 300) * ls + ls - 4;
+            size = 16;
+            break;
+        }
+        const AccessType t =
+            ((x >> 4) & 3) == 0 ? AccessType::Write : AccessType::Read;
+        sweep.access(p, a, size, t);
+        oracle.access(p, a, size, t);
+    }
+    expectSameMisses(sweep, oracle, sc, "after reset");
+}
+
+// The default grid allocates ~3 MB of oracle tag arrays per processor,
+// so the 64-processor case (holder-mask bit 63) runs on the compact
+// alternative grid.
+INSTANTIATE_TEST_SUITE_P(
+    DefaultGrid, SweepOracle,
+    ::testing::Combine(::testing::Values(1ull, 42ull, 9999ull),
+                       ::testing::Values(1, 6),
+                       ::testing::Values(false)));
+INSTANTIATE_TEST_SUITE_P(
+    ClampedGrid, SweepOracle,
+    ::testing::Combine(::testing::Values(1ull, 42ull, 9999ull),
+                       ::testing::Values(1, 6, 64),
+                       ::testing::Values(true)));
+
+namespace {
+
+/** Feeds one executed stream to the sweep and the oracle at once. */
+class OracleTee final : public RefSink
+{
+  public:
+    OracleTee(CacheSweep& s, TagArraySweep& o) : s_(s), o_(o) {}
+    void
+    access(const AccessRec& r) override
+    {
+        s_.access(r.proc, r.addr, r.size, r.type);
+        o_.access(r.proc, r.addr, r.size, r.type);
+    }
+    void
+    resetStats() override
+    {
+        s_.resetStats();
+        o_.resetStats();
+    }
+
+  private:
+    CacheSweep& s_;
+    TagArraySweep& o_;
+};
+
+} // namespace
+
+/** Real programs, not just synthetic streams: FFT and LU at 8
+ *  processors through the scheduler, on the Figure-3 grid. */
+TEST(SweepOracleProgram, FftAndLuMatchTagArrays)
+{
+    for (auto [name, n] : {std::pair<const char*, long>{"fft", 12},
+                           std::pair<const char*, long>{"lu", 64}}) {
+        harness::App* app = harness::findApp(name);
+        ASSERT_NE(app, nullptr) << name;
+        harness::AppConfig cfg;
+        cfg.n = n;
+        const SweepConfig sc = oracleConfig(8, false);
         CacheSweep sweep(sc);
-        {
-            ParallelSweep ps(sweep, threads, /*chunkRecords=*/512);
-            for (std::size_t i = 0; i < steps.size(); ++i) {
-                AccessRec r;
-                r.addr = steps[i].addr;
-                r.size = 8;
-                r.proc = static_cast<std::int16_t>(procs[i]);
-                r.type = steps[i].write ? AccessType::Write
-                                        : AccessType::Read;
-                ps.access(r);
-            }
-        }  // destructor flushes
-        EXPECT_EQ(serial.accesses(), sweep.accesses()) << threads;
-        for (std::uint64_t size : sc.sizes)
-            for (int assoc : {1, 2, 4, 0})
-                EXPECT_EQ(serial.misses(size, assoc),
-                          sweep.misses(size, assoc))
-                    << threads << " workers, " << size << "B " << assoc
-                    << "-way";
+        TagArraySweep oracle(sc);
+        OracleTee tee(sweep, oracle);
+        rt::Env env({rt::Mode::Sim, sc.nprocs, /*quantum=*/250});
+        env.attachSink(&tee);
+        ASSERT_TRUE(app->run(env, cfg).valid) << name;
+        expectSameMisses(sweep, oracle, sc, name);
     }
 }

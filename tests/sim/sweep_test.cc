@@ -1,7 +1,8 @@
 // Tests for the single-pass multi-configuration cache sweep, including
-// cross-validation against the full MemSystem simulator, exactness of
-// the parallel capture/replay pipeline, and reproduction of the
-// committed Figure 3 curves.
+// cross-validation against the full MemSystem simulator, input
+// validation, and reproduction of the committed Figure 3 curves.  The
+// differential fuzz against the per-configuration tag-array oracle
+// lives in reference_model_test.cc.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -36,18 +37,6 @@ struct Access
     Addr a;
     AccessType t;
 };
-
-/** Build a sink record (generic sinks take the full AccessRec). */
-AccessRec
-rec(ProcId p, Addr a, int size, AccessType t)
-{
-    AccessRec r;
-    r.addr = a;
-    r.size = size;
-    r.proc = static_cast<std::int16_t>(p);
-    r.type = t;
-    return r;
-}
 
 std::vector<Access>
 randomStream(int nprocs, int n, std::uint64_t lines, std::uint64_t seed)
@@ -229,89 +218,60 @@ TEST(Sweep, AdaptiveFenwickGrowsWithFootprint)
     EXPECT_EQ(sw.accesses(), 2 * kLines);
 }
 
-// ----------------------------------------------------------------------
-// Parallel capture/replay exactness.
-
-TEST(ParallelSweep, MatchesSerialForAnyWorkerCount)
-{
-    SweepConfig sc;
-    sc.nprocs = 8;
-    CacheSweep serial(sc);
-    auto stream = randomStream(8, 80000, 2500, 4242);
-    for (const auto& acc : stream)
-        serial.access(acc.p, acc.a, 8, acc.t);
-
-    for (int threads : {1, 2, 4}) {
-        CacheSweep sw(sc);
-        {
-            // Tiny chunks force many flush barriers mid-stream.
-            ParallelSweep ps(sw, threads, /*chunkRecords=*/256);
-            for (const auto& acc : stream)
-                ps.access(rec(acc.p, acc.a, 8, acc.t));
-        }
-        EXPECT_EQ(serial.accesses(), sw.accesses()) << threads;
-        for (std::uint64_t size : sc.sizes)
-            for (int assoc : {1, 2, 4, 0})
-                EXPECT_EQ(serial.misses(size, assoc),
-                          sw.misses(size, assoc))
-                    << threads << " workers, size " << size << " assoc "
-                    << assoc;
-    }
-}
-
-TEST(ParallelSweep, ResetStatsMidStreamMatchesSerial)
-{
-    // resetStats() must flush buffered records first, so the counter
-    // zeroing lands at the same stream position as the serial sweep's.
-    SweepConfig sc;
-    sc.nprocs = 4;
-    auto stream = randomStream(4, 30000, 1200, 99);
-
-    CacheSweep serial(sc);
-    for (std::size_t i = 0; i < stream.size(); ++i) {
-        if (i == stream.size() / 2)
-            serial.resetStats();
-        serial.access(stream[i].p, stream[i].a, 8, stream[i].t);
-    }
-
-    CacheSweep sw(sc);
-    {
-        ParallelSweep ps(sw, 3, /*chunkRecords=*/512);
-        for (std::size_t i = 0; i < stream.size(); ++i) {
-            if (i == stream.size() / 2)
-                ps.resetStats();
-            ps.access(rec(stream[i].p, stream[i].a, 8, stream[i].t));
-        }
-    }
-    EXPECT_EQ(serial.accesses(), sw.accesses());
-    for (std::uint64_t size : sc.sizes)
-        for (int assoc : {1, 2, 4, 0})
-            EXPECT_EQ(serial.misses(size, assoc), sw.misses(size, assoc))
-                << "size " << size << " assoc " << assoc;
-}
-
-TEST(ParallelSweep, LineSpanningAccessCountsOncePerLine)
+TEST(Sweep, LineSpanningAccessCountsOncePerLine)
 {
     SweepConfig sc;
     sc.nprocs = 1;
-    CacheSweep serial(sc), sw(sc);
-    {
-        ParallelSweep ps(sw, 2);
-        // 16 bytes straddling a 64 B line boundary: two line touches.
-        serial.access(0, 0x1038, 16, AccessType::Read);
-        ps.access(rec(0, 0x1038, 16, AccessType::Read));
-    }
-    EXPECT_EQ(serial.accesses(), 2u);
+    CacheSweep sw(sc);
+    // 16 bytes straddling a 64 B line boundary: two line touches, both
+    // cold at every operating point.
+    sw.access(0, 0x1038, 16, AccessType::Read);
     EXPECT_EQ(sw.accesses(), 2u);
-    EXPECT_EQ(serial.misses(1 << 20, 0), sw.misses(1 << 20, 0));
+    EXPECT_EQ(sw.misses(1 << 20, 0), 2u);
+    EXPECT_EQ(sw.misses(1024, 1), 2u);
+    EXPECT_EQ(sw.misses(1024, 4), 2u);
+}
+
+TEST(SweepDeathTest, RejectsProcessorCountsOutsideTheHolderMask)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    for (int nprocs : {0, -1, kMaxProcs + 1}) {
+        SweepConfig sc;
+        sc.nprocs = nprocs;
+        EXPECT_EXIT(CacheSweep{sc}, ::testing::ExitedWithCode(1),
+                    "sweep processor count must be in \\[1, 64\\]")
+            << nprocs;
+    }
+    SweepConfig sc;
+    sc.nprocs = kMaxProcs;
+    sc.sizes = {1024};
+    sc.assocs = {1};
+    CacheSweep sw(sc);  // the largest machine is accepted
+    sw.access(kMaxProcs - 1, 0x1000, 8, AccessType::Write);
+    sw.access(0, 0x1000, 8, AccessType::Write);
+    sw.access(kMaxProcs - 1, 0x1000, 8, AccessType::Read);
+    EXPECT_EQ(sw.misses(1024, 1), 3u);  // cold, cold, invalidated
+}
+
+TEST(SweepDeathTest, RejectsAssociativityThatIsNotAPowerOfTwo)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    for (int assoc : {0, 3, -2, CacheSweep::kMaxWays * 2}) {
+        SweepConfig sc;
+        sc.nprocs = 1;
+        sc.assocs = {1, assoc};
+        EXPECT_EXIT(CacheSweep{sc}, ::testing::ExitedWithCode(1),
+                    "sweep associativity must be a power of two")
+            << assoc;
+    }
 }
 
 // ----------------------------------------------------------------------
-// Regression against the committed Figure 3 curves: the parallel sweep
-// at the default configuration must reproduce results/fig3.csv.
+// Regression against the committed Figure 3 curves: the sweep at the
+// default configuration must reproduce results/fig3.csv.
 
 #ifdef SPLASH2_SOURCE_DIR
-TEST(SweepRegression, ParallelSweepReproducesCommittedFig3Fft)
+TEST(SweepRegression, SweepReproducesCommittedFig3Fft)
 {
     std::string path =
         std::string(SPLASH2_SOURCE_DIR) + "/results/fig3.csv";
@@ -339,9 +299,7 @@ TEST(SweepRegression, ParallelSweepReproducesCommittedFig3Fft)
     AppConfig cfg;  // default scale 1.0, default problem size
     SweepConfig sc; // default: 32 procs, 64 B lines
     CacheSweep sweep(sc);
-    SimOpts simOpts;
-    simOpts.sweepThreads = 3;  // exercise the worker pool
-    runWithSweep(*app, sc.nprocs, sweep, cfg, simOpts);
+    runWithSweep(*app, sc.nprocs, sweep, cfg);
 
     for (const auto& [point, mr] : committed)
         EXPECT_NEAR(sweep.missRate(point.first, point.second), mr, 5e-7)
