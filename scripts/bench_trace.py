@@ -14,10 +14,11 @@ configuration characterization (the protocol/placement ablation, 7
 machine configurations over one reference stream) run three ways --
 execute-per-configuration (the serial oracle), record once, then
 replay-from-disk feeding every configuration from the stored trace.
-The acceptance targets: the suite amortizes to ~2 bits per recorded
-reference, and replay wall clock beats execution wall clock per
-configuration (the decode runs once while the application would have
-re-executed N times).
+The acceptance targets: the suite amortizes to at most 4 bits per
+recorded reference (a gate: exit status 1 above it), and replay wall
+clock beats execution wall clock per configuration (the decode runs
+once while the application would have re-executed N times).  Any
+replay output that differs from live execution also exits 1.
 
 Usage: scripts/bench_trace.py [--build build] [--procs 8]
                               [--scale 1.0] [--apps fft,ocean,...]
@@ -34,6 +35,9 @@ import sys
 import tempfile
 
 import benchlib
+
+# Suite-wide compactness bound, in bits per recorded reference.
+MAX_BITS_PER_REF = 4.0
 
 APPS = ["fft", "lu", "radix", "ocean", "water-nsq", "water-sp",
         "barnes", "fmm", "cholesky", "raytrace", "volrend",
@@ -178,7 +182,7 @@ def main():
         "description": "Record-once trace store: live characterization "
                        "vs replay-from-disk (splash2run, outputs "
                        "byte-compared) and on-disk trace compactness",
-        "host_cpus": os.cpu_count(),
+        "provenance": benchlib.provenance(args.build),
         "procs": args.procs,
         "scale": args.scale,
         "reps": args.reps,
@@ -191,6 +195,7 @@ def main():
         "trace_total_records": sum_records,
         "bits_per_reference": (8.0 * sum_bytes / sum_records
                                if sum_records else 0.0),
+        "max_bits_per_reference": MAX_BITS_PER_REF,
         "multi_config": {
             "description": "Protocol/placement ablation "
                            "(ablation_protocol --jobs 1): execute-per-"
@@ -204,11 +209,17 @@ def main():
                       ("execute_total_seconds", "replay_total_seconds",
                        "replay_speedup", "bits_per_reference")},
                      indent=2))
+    status = 0
     if mismatches:
         print("OUTPUT MISMATCH in: " + ", ".join(mismatches),
               file=sys.stderr)
-        return 1
-    return 0
+        status = 1
+    if report["bits_per_reference"] > MAX_BITS_PER_REF:
+        print(f"trace size {report['bits_per_reference']:.2f} bits/ref "
+              f"exceeds the {MAX_BITS_PER_REF:g} bits/ref bound",
+              file=sys.stderr)
+        status = 1
+    return status
 
 
 if __name__ == "__main__":

@@ -206,7 +206,8 @@ lzDecompress(const std::uint8_t* in, std::size_t n, std::uint8_t* out,
         if (litLen > static_cast<std::size_t>(end - p) ||
             litLen > outN - o)
             return false;
-        std::memcpy(out + o, p, litLen);
+        if (litLen != 0)  // out may be null when outN == 0
+            std::memcpy(out + o, p, litLen);
         p += litLen;
         o += litLen;
         if (p == end)
@@ -244,7 +245,7 @@ using namespace tracecodec;
 namespace {
 
 constexpr char kMagic[8] = {'S', '2', 'T', 'R', 'A', 'C', 'E', '1'};
-constexpr std::uint32_t kFormatVersion = 1;
+constexpr std::uint32_t kFormatVersion = 2;
 constexpr std::uint32_t kHeaderBytes = 128;
 constexpr std::uint32_t kChunkMagic = 0x4b433253u;   // "S2CK"
 constexpr std::uint32_t kFooterMagic = 0x54463253u;  // "S2FT"
@@ -255,25 +256,16 @@ constexpr std::uint8_t kEvSync = 0;
 constexpr std::uint8_t kEvReset = 1;
 constexpr std::uint8_t kEvPlace = 2;
 
-constexpr std::uint8_t kSizePlanes = 0;  ///< dictionary + index planes
-constexpr std::uint8_t kSizeRuns = 1;    ///< sizes as RLE runs
-
-constexpr std::uint8_t kAddrPlain = 0;  ///< delta vs previous address
-constexpr std::uint8_t kAddrPred = 1;   ///< selector plane + predictor
-
-/** Address-column predictor geometry (part of the on-disk format):
- *  the second predictor is the prior target of the previous address's
- *  4 KiB page, through a per-processor direct-mapped table of 4096
- *  slots (16 MiB of distinct pages before aliasing). */
-constexpr unsigned kPageShift = 12;
-constexpr std::size_t kAddrSlots = std::size_t(1) << 12;
+/** The size column's dictionary capacity: two index bit-planes. */
+constexpr std::size_t kMaxSizes = 4;
 
 /** Upper bound on encoded bytes per record or event: the widest
- *  record costs a processor run (12 B) + 2 bitmap bits + a size run
- *  (11 B) + two 10-byte varint deltas, and the widest event a
- *  position delta + place triple (31 B) -- both comfortably under
- *  this.  Lets the reader reject an implausible chunk size before
- *  allocating a decode buffer from it. */
+ *  record costs a processor run (12 B) + 4 bitmap/plane bits + two
+ *  10-byte varint deltas, and the widest event a position delta +
+ *  place triple (31 B) -- both comfortably under this; the per-chunk
+ *  size dictionary (<= 41 B) fits the fixed allowance on top.  Lets
+ *  the reader reject an implausible chunk size before allocating a
+ *  decode buffer from it. */
 constexpr std::uint64_t kMaxEncPerItem = 64;
 
 template <typename T>
@@ -406,20 +398,21 @@ TraceWriter::TraceWriter(std::string path, const TraceMeta& meta,
     ensure(meta_.nprocs >= 1 && meta_.nprocs <= kMaxProcs,
            "trace meta processor count out of range");
     tmpPath_ = path_ + ".tmp." + std::to_string(::getpid());
-    f_ = std::fopen(tmpPath_.c_str(), "wb");
-    if (f_ == nullptr)
-        fatal("cannot create trace file '" + tmpPath_ + "'");
     recs_.reserve(chunkRecords_);
     runsByProc_.resize(static_cast<std::size_t>(meta_.nprocs));
-    addrTbl_.assign(static_cast<std::size_t>(meta_.nprocs),
-                    std::vector<Addr>(kAddrSlots, 0));
     lastAddr_.assign(static_cast<std::size_t>(meta_.nprocs), 0);
     lastLtime_.assign(static_cast<std::size_t>(meta_.nprocs), 0);
+    f_ = std::fopen(tmpPath_.c_str(), "wb");
+    if (f_ == nullptr) {
+        failIo("cannot create trace file '" + tmpPath_ + "' (" +
+               std::strerror(errno) + ")");
+        return;
+    }
     // Provisional header (totals unknown); rewritten by finalize().
     std::uint8_t h[kHeaderBytes];
     buildHeader(h, meta_, 0, 0, 0, 0, /*finalized=*/false, 0);
     if (std::fwrite(h, 1, sizeof(h), f_) != sizeof(h))
-        fatal("cannot write trace header to '" + tmpPath_ + "'");
+        failIo("cannot write trace header to '" + tmpPath_ + "'");
 }
 
 TraceWriter::~TraceWriter()
@@ -427,12 +420,30 @@ TraceWriter::~TraceWriter()
     if (f_ != nullptr)
         std::fclose(f_);
     if (!finalized_)
-        ::unlink(tmpPath_.c_str());  // aborted recording
+        ::unlink(tmpPath_.c_str());  // aborted or failed recording
+}
+
+void
+TraceWriter::failIo(std::string msg)
+{
+    if (ioErr_.empty())
+        ioErr_ = std::move(msg);
 }
 
 void
 TraceWriter::access(const AccessRec& r)
 {
+    // The size column's dictionary holds at most kMaxSizes entries, so
+    // a record bringing one more distinct size starts a new chunk.
+    auto it = std::find_if(sizes_.begin(), sizes_.end(),
+                           [&](const auto& s) { return s.first == r.size; });
+    if (it == sizes_.end()) {
+        if (sizes_.size() == kMaxSizes)
+            flushChunk();
+        sizes_.push_back({r.size, 0});
+        it = sizes_.end() - 1;
+    }
+    ++it->second;
     recs_.push_back(r);
     if (recs_.size() == chunkRecords_)
         flushChunk();
@@ -471,286 +482,127 @@ TraceWriter::place(const PlaceRec& r)
 void
 TraceWriter::flushChunk()
 {
-    if (recs_.empty() && events_.empty())
-        return;
+    // A failed writer writes nothing more.
+    if (ioErr_.empty() && (!recs_.empty() || !events_.empty()))
+        writeChunk();
+    recs_.clear();
+    events_.clear();
+    sizes_.clear();
+}
+
+void
+TraceWriter::writeChunk()
+{
     enc_.clear();
     const std::size_t n = recs_.size();
+    const std::size_t bmBytes = (n + 7) / 8;
 
-    // Column 1: processor run lengths.
-    {
-        std::uint64_t runs = 0;
-        for (std::size_t i = 0; i < n; ++i)
-            if (i == 0 || recs_[i].proc != recs_[i - 1].proc)
-                ++runs;
-        putVarint(enc_, runs);
-        std::size_t i = 0;
-        while (i < n) {
-            std::size_t j = i + 1;
-            while (j < n && recs_[j].proc == recs_[i].proc)
-                ++j;
-            putVarint(enc_, zigzag(recs_[i].proc));
-            putVarint(enc_, j - i);
-            i = j;
-        }
-    }
-    // Columns 2+3: access-type and atomic-flag bitmaps.
-    {
-        const std::size_t bytes = (n + 7) / 8;
-        std::size_t base = enc_.size();
-        enc_.resize(base + 2 * bytes, 0);
-        for (std::size_t i = 0; i < n; ++i) {
-            if (recs_[i].type == AccessType::Write)
-                enc_[base + i / 8] |= std::uint8_t(1u << (i % 8));
-            if (recs_[i].atomic())
-                enc_[base + bytes + i / 8] |=
-                    std::uint8_t(1u << (i % 8));
-        }
-    }
-    // The delta columns below are grouped by processor: all of
-    // processor 0's records (in stream order), then processor 1's,
-    // and so on.  Grouping keeps each processor's regular pattern
+    // Column 1: processor runs, in stream order.  The size planes and
+    // the delta columns are grouped by processor instead: all of
+    // processor 0's records (in stream order), then processor 1's, and
+    // so on.  Grouping keeps each processor's regular pattern
     // contiguous, which the LZ stage compresses far better than the
-    // scheduler's interleaving of them.  The groups are reconstructed
-    // on both sides from the processor runs of column 1.
+    // scheduler's interleaving of them; the reader rebuilds the groups
+    // from these runs.
+    auto runEnd = [&](std::size_t i) {
+        std::size_t j = i + 1;
+        while (j < n && recs_[j].proc == recs_[i].proc)
+            ++j;
+        return j;
+    };
     for (auto& rp : runsByProc_)
         rp.clear();
-    {
-        std::size_t i = 0;
-        while (i < n) {
-            std::size_t j = i + 1;
-            while (j < n && recs_[j].proc == recs_[i].proc)
-                ++j;
-            runsByProc_[static_cast<std::size_t>(recs_[i].proc)]
-                .push_back({static_cast<std::uint32_t>(i),
-                            static_cast<std::uint32_t>(j - i)});
-            i = j;
-        }
+    std::uint64_t runs = 0;
+    for (std::size_t i = 0, j = 0; i < n; i = j, ++runs) {
+        j = runEnd(i);
+        runsByProc_[static_cast<std::size_t>(recs_[i].proc)].push_back(
+            {static_cast<std::uint32_t>(i),
+             static_cast<std::uint32_t>(j - i)});
     }
-    // Column 4: access sizes.  A chunk almost always uses a handful
-    // of distinct sizes (word, double, the odd struct copy), so the
-    // common encoding is a small per-chunk dictionary sorted by
-    // frequency plus two bit-planes of dictionary indices, laid out
-    // in grouped (per-processor) order: the dominant size is index 0,
-    // so the planes are near-zero and the LZ stage collapses them.
-    // Chunks with more than four distinct sizes fall back to runs.
-    {
-        std::vector<std::pair<std::int64_t, std::int32_t>> dict;
-        for (std::size_t i = 0; i < n && dict.size() <= 4; ++i) {
-            const auto s = recs_[i].size;
-            bool seen = false;
-            for (auto& d : dict)
-                if (d.second == s) {
-                    --d.first;  // negated count: sort puts it first
-                    seen = true;
-                    break;
-                }
-            if (!seen)
-                dict.push_back({-1, s});
-        }
-        const bool planar = dict.size() <= 4;
-        enc_.push_back(planar ? kSizePlanes : kSizeRuns);
-        if (planar) {
-            std::sort(dict.begin(), dict.end());
-            enc_.push_back(static_cast<std::uint8_t>(dict.size()));
-            for (const auto& d : dict)
-                putVarint(enc_, zigzag(d.second));
-            const std::size_t bytes = (n + 7) / 8;
-            std::size_t base = enc_.size();
-            enc_.resize(base + 2 * bytes, 0);
-            std::size_t g = 0;
-            for (int p = 0; p < meta_.nprocs; ++p)
-                for (const auto& run :
-                     runsByProc_[static_cast<std::size_t>(p)])
-                    for (std::uint32_t i = run.first;
-                         i < run.first + run.second; ++i, ++g) {
-                        unsigned idx = 0;
-                        while (dict[idx].second != recs_[i].size)
-                            ++idx;
-                        if (idx & 1u)
-                            enc_[base + g / 8] |=
-                                std::uint8_t(1u << (g % 8));
-                        if (idx & 2u)
-                            enc_[base + bytes + g / 8] |=
-                                std::uint8_t(1u << (g % 8));
-                    }
-        } else {
-            std::uint64_t runs = 0;
-            for (std::size_t i = 0; i < n; ++i)
-                if (i == 0 || recs_[i].size != recs_[i - 1].size)
-                    ++runs;
-            putVarint(enc_, runs);
-            std::size_t i = 0;
-            while (i < n) {
-                std::size_t j = i + 1;
-                while (j < n && recs_[j].size == recs_[i].size)
-                    ++j;
-                putVarint(enc_, zigzag(recs_[i].size));
-                putVarint(enc_, j - i);
-                i = j;
-            }
-        }
+    putVarint(enc_, runs);
+    for (std::size_t i = 0, j = 0; i < n; i = j) {
+        j = runEnd(i);
+        putVarint(enc_, zigzag(recs_[i].proc));
+        putVarint(enc_, j - i);
     }
-    // Column 5: address deltas, grouped by processor.  Two candidate
-    // encodings are built, both replayable from decoded history:
-    //
-    //   kAddrPlain -- delta against the processor's previous address.
-    //     Iteration-periodic streams repeat the exact byte sequence,
-    //     which the whole-chunk LZ window collapses.
-    //   kAddrPred  -- a selector bit-plane plus the delta against the
-    //     better of that previous address and a page-keyed table (the
-    //     prior target of the previous address's page), which
-    //     untangles interleaved streams -- scatter buckets, molecule
-    //     pairs -- into their own near-constant strides.
-    //
-    // Whichever LZ-compresses smaller is written behind a mode byte.
-    // The prediction-state updates depend only on the address stream,
-    // never on the mode, so chunks may switch modes freely.
-    {
-        const std::size_t bytes = (n + 7) / 8;
-        std::vector<std::uint8_t> plainCol;
-        std::vector<std::uint8_t> predCol(bytes, 0);
-        ltex_.clear();  // scratch may hold a previous chunk's bytes
-        std::size_t g = 0;
-        for (int p = 0; p < meta_.nprocs; ++p) {
-            const auto pi = static_cast<std::size_t>(p);
-            Addr* tbl = addrTbl_[pi].data();
-            Addr last = lastAddr_[pi];
-            for (const auto& run : runsByProc_[pi])
-                for (std::uint32_t i = run.first;
-                     i < run.first + run.second; ++i, ++g) {
-                    const Addr a = recs_[i].addr;
-                    const std::size_t slot =
-                        (last >> kPageShift) & (kAddrSlots - 1);
-                    const auto dLast =
-                        zigzag(static_cast<std::int64_t>(a - last));
-                    const auto dTbl =
-                        zigzag(static_cast<std::int64_t>(a -
-                                                         tbl[slot]));
-                    putVarint(plainCol, dLast);
-                    if (dTbl < dLast) {
-                        predCol[g / 8] |= std::uint8_t(1u << (g % 8));
-                        putVarint(ltex_, dTbl);
-                    } else {
-                        putVarint(ltex_, dLast);
-                    }
-                    tbl[slot] = a;
-                    last = a;
-                }
-            lastAddr_[pi] = last;
-        }
-        predCol.insert(predCol.end(), ltex_.begin(), ltex_.end());
-        ltex_.clear();
-        comp_.clear();
-        lzCompress(plainCol.data(), plainCol.size(), comp_);
-        const std::size_t plainLz = std::min(comp_.size(),
-                                             plainCol.size());
-        comp_.clear();
-        lzCompress(predCol.data(), predCol.size(), comp_);
-        const std::size_t predLz = std::min(comp_.size(),
-                                            predCol.size());
-        if (predLz < plainLz) {
-            enc_.push_back(kAddrPred);
-            enc_.insert(enc_.end(), predCol.begin(), predCol.end());
-        } else {
-            enc_.push_back(kAddrPlain);
-            enc_.insert(enc_.end(), plainCol.begin(), plainCol.end());
-        }
+    auto forEachGrouped = [&](auto&& fn) {
+        for (std::size_t p = 0; p < runsByProc_.size(); ++p)
+            for (const auto& [start, len] : runsByProc_[p])
+                for (std::uint32_t i = start; i < start + len; ++i)
+                    fn(p, recs_[i]);
+    };
+    // Columns 2+3: access-type and atomic-flag bitmaps.
+    std::size_t base = enc_.size();
+    enc_.resize(base + 2 * bmBytes, 0);
+    for (std::size_t i = 0; i < n; ++i) {
+        if (recs_[i].type == AccessType::Write)
+            enc_[base + i / 8] |= std::uint8_t(1u << (i % 8));
+        if (recs_[i].atomic())
+            enc_[base + bmBytes + i / 8] |= std::uint8_t(1u << (i % 8));
     }
-    // Column 6: logical-time deltas, grouped by processor.  An app's
-    // clock advances by a handful of distinct strides (usually just
-    // 1, plus the cost of the instruction block between references),
-    // so the deltas get the same treatment as the sizes: a per-chunk
-    // dictionary of the most frequent deltas plus two bit-planes of
-    // dictionary indices in grouped order; index 3 escapes to an
-    // explicit varint (appended after the planes) unless the
-    // dictionary is exact with four entries.  Sync events share the
-    // same per-processor clock state (encoded below): all accesses
-    // update it first, then events, exactly the order the decoder
-    // replays.
-    {
-        ltd_.clear();
-        for (int p = 0; p < meta_.nprocs; ++p) {
-            Tick last = lastLtime_[static_cast<std::size_t>(p)];
-            for (const auto& run :
-                 runsByProc_[static_cast<std::size_t>(p)])
-                for (std::uint32_t i = run.first;
-                     i < run.first + run.second; ++i) {
-                    ltd_.push_back(static_cast<std::int64_t>(
-                        recs_[i].ltime - last));
-                    last = recs_[i].ltime;
-                }
-            lastLtime_[static_cast<std::size_t>(p)] = last;
-        }
-        // Frequency-ranked dictionary; tracking caps at 32 distinct
-        // deltas (beyond that the stragglers escape anyway).
-        std::vector<std::pair<std::int64_t, std::int64_t>> freq;
-        for (const std::int64_t d : ltd_) {
-            bool seen = false;
-            for (auto& f : freq)
-                if (f.second == d) {
-                    --f.first;
-                    seen = true;
-                    break;
-                }
-            if (!seen && freq.size() < 32)
-                freq.push_back({-1, d});
-        }
-        std::sort(freq.begin(), freq.end());
-        // Four entries only when they cover every delta; otherwise
-        // index 3 is the escape marker.
-        const unsigned dictN = freq.size() <= 4
-                                   ? static_cast<unsigned>(freq.size())
-                                   : 3u;
-        enc_.push_back(static_cast<std::uint8_t>(dictN));
-        for (unsigned d = 0; d < dictN; ++d)
-            putVarint(enc_, zigzag(freq[d].second));
-        const std::size_t bytes = (n + 7) / 8;
-        const std::size_t base = enc_.size();
-        enc_.resize(base + 2 * bytes, 0);
-        ltex_.clear();
-        for (std::size_t g = 0; g < ltd_.size(); ++g) {
-            unsigned idx = 0;
-            while (idx < dictN && freq[idx].second != ltd_[g])
-                ++idx;
-            if (idx == dictN && dictN == 4)
-                fatal("ltime dictionary claimed exact but is not");
-            if (idx == dictN) {
-                idx = 3;
-                putVarint(ltex_, zigzag(ltd_[g]));
-            }
-            if (idx & 1u)
-                enc_[base + g / 8] |= std::uint8_t(1u << (g % 8));
-            if (idx & 2u)
-                enc_[base + bytes + g / 8] |=
-                    std::uint8_t(1u << (g % 8));
-        }
-        enc_.insert(enc_.end(), ltex_.begin(), ltex_.end());
-    }
+    // Column 4: access sizes -- the chunk's (at most four) distinct
+    // sizes, most frequent first, then two bit-planes of dictionary
+    // indices in grouped order.  The dominant size is index 0, so the
+    // planes are near-zero and the LZ stage collapses them.
+    std::sort(sizes_.begin(), sizes_.end(),
+              [](const auto& a, const auto& b) {
+                  return a.second != b.second ? a.second > b.second
+                                              : a.first < b.first;
+              });
+    enc_.push_back(static_cast<std::uint8_t>(sizes_.size()));
+    for (const auto& s : sizes_)
+        putVarint(enc_, zigzag(s.first));
+    base = enc_.size();
+    enc_.resize(base + 2 * bmBytes, 0);
+    std::size_t g = 0;
+    forEachGrouped([&](std::size_t, const AccessRec& r) {
+        unsigned idx = 0;
+        while (sizes_[idx].first != r.size)
+            ++idx;
+        if (idx & 1u)
+            enc_[base + g / 8] |= std::uint8_t(1u << (g % 8));
+        if (idx & 2u)
+            enc_[base + bmBytes + g / 8] |= std::uint8_t(1u << (g % 8));
+        ++g;
+    });
+    // Columns 5+6: address, then logical-time deltas in grouped order,
+    // each a zigzag varint against the processor's previous value.
+    // Sync events share the per-processor clock state (encoded
+    // below): all accesses update it first, then events, exactly the
+    // order the reader replays.
+    forEachGrouped([&](std::size_t p, const AccessRec& r) {
+        putVarint(enc_, zigzag(static_cast<std::int64_t>(r.addr -
+                                                         lastAddr_[p])));
+        lastAddr_[p] = r.addr;
+    });
+    forEachGrouped([&](std::size_t p, const AccessRec& r) {
+        putVarint(enc_, zigzag(static_cast<std::int64_t>(r.ltime -
+                                                         lastLtime_[p])));
+        lastLtime_[p] = r.ltime;
+    });
     // Column 7: stream-ordered events.
-    {
-        putVarint(enc_, events_.size());
-        std::uint64_t prevPos = 0;
-        for (const Event& e : events_) {
-            putVarint(enc_, e.pos - prevPos);
-            prevPos = e.pos;
-            enc_.push_back(e.kind);
-            if (e.kind == kEvSync) {
-                const SyncRec& s = e.sync;
-                enc_.push_back(static_cast<std::uint8_t>(
-                    (s.op == SyncOp::Release ? 1 : 0) |
-                    (static_cast<unsigned>(s.prim) << 1)));
-                putVarint(enc_, s.obj);
-                putVarint(enc_, zigzag(s.proc));
-                const auto p = static_cast<std::size_t>(
-                    s.proc >= 0 ? s.proc : 0);
-                putVarint(enc_, zigzag(static_cast<std::int64_t>(
-                                    s.ltime - lastLtime_[p])));
-                lastLtime_[p] = s.ltime;
-            } else if (e.kind == kEvPlace) {
-                putVarint(enc_, e.place.addr);
-                putVarint(enc_, e.place.bytes);
-                putVarint(enc_, zigzag(e.place.home));
-            }
+    putVarint(enc_, events_.size());
+    std::uint64_t prevPos = 0;
+    for (const Event& e : events_) {
+        putVarint(enc_, e.pos - prevPos);
+        prevPos = e.pos;
+        enc_.push_back(e.kind);
+        if (e.kind == kEvSync) {
+            const SyncRec& s = e.sync;
+            enc_.push_back(static_cast<std::uint8_t>(
+                (s.op == SyncOp::Release ? 1 : 0) |
+                (static_cast<unsigned>(s.prim) << 1)));
+            putVarint(enc_, s.obj);
+            putVarint(enc_, zigzag(s.proc));
+            const auto p =
+                static_cast<std::size_t>(s.proc >= 0 ? s.proc : 0);
+            putVarint(enc_, zigzag(static_cast<std::int64_t>(
+                                s.ltime - lastLtime_[p])));
+            lastLtime_[p] = s.ltime;
+        } else if (e.kind == kEvPlace) {
+            putVarint(enc_, e.place.addr);
+            putVarint(enc_, e.place.bytes);
+            putVarint(enc_, zigzag(e.place.home));
         }
     }
 
@@ -774,13 +626,13 @@ TraceWriter::flushChunk()
     put<std::uint32_t>(fr, 20, crc32(fr, 20, crc32(payload, payloadN)));
     if (std::fwrite(fr, 1, sizeof(fr), f_) != sizeof(fr) ||
         (payloadN != 0 &&
-         std::fwrite(payload, 1, payloadN, f_) != payloadN))
-        fatal("cannot append trace chunk to '" + tmpPath_ + "'");
+         std::fwrite(payload, 1, payloadN, f_) != payloadN)) {
+        failIo("cannot append trace chunk to '" + tmpPath_ + "'");
+        return;
+    }
     bytesWritten_ += kFrameBytes + payloadN;
     totalRecords_ += n;
     ++totalChunks_;
-    recs_.clear();
-    events_.clear();
 }
 
 bool
@@ -812,23 +664,26 @@ TraceWriter::finalize(const ExecProfile& exec, std::string* err)
     buildHeader(h, meta_, totalRecords_, totalSyncs_, totalChunks_,
                 bytesWritten_, /*finalized=*/true,
                 static_cast<std::uint32_t>(ft.size()));
-    auto fail = [&](const char* what) {
-        if (err != nullptr)
-            *err = std::string(what) + " '" + tmpPath_ + "'";
-        return false;
-    };
-    if (std::fwrite(ft.data(), 1, ft.size(), f_) != ft.size())
-        return fail("cannot write trace footer to");
-    if (std::fseek(f_, 0, SEEK_SET) != 0 ||
-        std::fwrite(h, 1, sizeof(h), f_) != sizeof(h))
-        return fail("cannot rewrite trace header of");
-    if (std::fclose(f_) != 0) {
-        f_ = nullptr;
-        return fail("cannot close trace file");
-    }
+    // Each step runs only while the writer is healthy; the first
+    // failure is the one reported.
+    if (ioErr_.empty() &&
+        std::fwrite(ft.data(), 1, ft.size(), f_) != ft.size())
+        failIo("cannot write trace footer to '" + tmpPath_ + "'");
+    if (ioErr_.empty() &&
+        (std::fseek(f_, 0, SEEK_SET) != 0 ||
+         std::fwrite(h, 1, sizeof(h), f_) != sizeof(h)))
+        failIo("cannot rewrite trace header of '" + tmpPath_ + "'");
+    if (f_ != nullptr && std::fclose(f_) != 0)
+        failIo("cannot close trace file '" + tmpPath_ + "'");
     f_ = nullptr;
-    if (std::rename(tmpPath_.c_str(), path_.c_str()) != 0)
-        return fail("cannot publish trace file");
+    if (ioErr_.empty() &&
+        std::rename(tmpPath_.c_str(), path_.c_str()) != 0)
+        failIo("cannot publish trace file '" + tmpPath_ + "'");
+    if (!ioErr_.empty()) {
+        if (err != nullptr)
+            *err = ioErr_;
+        return false;  // the destructor removes the temporary
+    }
     finalized_ = true;
     return true;
 }
@@ -930,7 +785,7 @@ TraceReader::parseHeaderAndIndex(std::string* err)
     chunkOffset_ = kHeaderBytes;
 
     // Walk the chunk frames to find and pre-validate the footer
-    // position (payload CRCs are checked during replay/verify).
+    // position (payload CRCs are checked during replay).
     std::size_t off = chunkOffset_;
     for (std::uint64_t c = 0; c < totalChunks_; ++c) {
         if (size_ - off < kFrameBytes) {
@@ -985,19 +840,16 @@ TraceReader::parseHeaderAndIndex(std::string* err)
 bool
 TraceReader::replay(RefSink* sink, std::string* err)
 {
+    ensure(sink != nullptr, "TraceReader::replay needs a sink");
     auto fail = [&](std::uint64_t chunk, const std::string& what) {
         if (err != nullptr)
             *err = "trace chunk " + std::to_string(chunk) + ": " + what;
         return false;
     };
     placement_.reset(meta_.nprocs);
-    std::vector<std::vector<Addr>> addrTbl(
-        static_cast<std::size_t>(meta_.nprocs),
-        std::vector<Addr>(kAddrSlots, 0));
-    std::vector<Addr> lastAddr(
-        static_cast<std::size_t>(meta_.nprocs), 0);
-    std::vector<Tick> lastLtime(
-        static_cast<std::size_t>(meta_.nprocs), 0);
+    const auto np = static_cast<std::size_t>(meta_.nprocs);
+    std::vector<Addr> lastAddr(np, 0);
+    std::vector<Tick> lastLtime(np, 0);
     // Per-chunk scratch, kept in grouped (per-processor) order so
     // every decode pass writes sequentially: the chunk is large
     // enough that scattering whole records into stream order would
@@ -1006,14 +858,12 @@ TraceReader::replay(RefSink* sink, std::string* err)
     // with one cursor per processor; the type/atomic bitmaps and the
     // size bit-planes are read directly from the encoded chunk at
     // that point rather than materialized.
-    const auto np = static_cast<std::size_t>(meta_.nprocs);
     std::vector<std::vector<Addr>> addrBy(np);
     std::vector<std::vector<Tick>> ltimeBy(np);
     std::vector<std::uint32_t> cnt(np);
     std::vector<std::uint32_t> cur(np);
     std::vector<std::uint64_t> gbase(np);
     std::vector<std::pair<std::int16_t, std::uint32_t>> streamRuns;
-    std::vector<std::int32_t> sizeStream;  // RLE fallback only
     std::vector<std::uint8_t> raw;
     std::uint64_t seenRecords = 0;
     std::uint64_t seenSyncs = 0;
@@ -1048,8 +898,6 @@ TraceReader::replay(RefSink* sink, std::string* err)
                 return fail(c, "undecodable compressed payload");
             enc = raw.data();
         }
-        if (sink == nullptr)
-            continue;  // verify-only walk
 
         const std::uint8_t* p = enc;
         const std::uint8_t* end = enc + encBytes;
@@ -1090,185 +938,69 @@ TraceReader::replay(RefSink* sink, std::string* err)
         const std::uint8_t* bmType = p;
         const std::uint8_t* bmAtomic = p + bmBytes;
         p += 2 * bmBytes;
-        // Column 4: access sizes -- flag byte, then either a size
-        // dictionary + two index bit-planes in grouped order, or
-        // explicit runs (mirrors the encoder).
+        // Column 4: size dictionary + two index bit-planes in grouped
+        // order, read during delivery.
         if (p == end)
             return truncated();
-        const std::uint8_t sizeFlag = *p++;
-        std::int32_t szDict[4] = {0, 0, 0, 0};
-        unsigned szDictN = 0;
-        const std::uint8_t* szbm = nullptr;
-        if (sizeFlag == kSizePlanes) {
-            if (p == end)
-                return truncated();
-            szDictN = *p++;
-            if (szDictN > 4 || (szDictN == 0 && nRecs != 0))
-                return fail(c, "size dictionary out of range");
-            for (unsigned d = 0; d < szDictN; ++d) {
-                if (!getVarint(&p, end, &v))
-                    return truncated();
-                szDict[d] = static_cast<std::int32_t>(unzigzag(v));
-            }
-            if (static_cast<std::size_t>(end - p) < 2 * bmBytes)
-                return truncated();
-            szbm = p;
-            p += 2 * bmBytes;
-            // Validate the whole plane pair up front (word-wise: an
-            // index >= dictN is a specific bit pattern), so delivery
-            // can read indices unchecked.
-            if (szDictN < 4) {
-                std::uint64_t bad = 0;
-                for (std::size_t b = 0; b < bmBytes; ++b) {
-                    const std::uint8_t lo = szbm[b];
-                    const std::uint8_t hi = szbm[bmBytes + b];
-                    std::uint8_t w = 0;
-                    if (szDictN <= 1)
-                        w = static_cast<std::uint8_t>(lo | hi);
-                    else if (szDictN == 2)
-                        w = hi;
-                    else  // 3: only index 3 (both bits) is invalid
-                        w = static_cast<std::uint8_t>(lo & hi);
-                    if (b == bmBytes - 1 && nRecs % 8 != 0)
-                        w &= static_cast<std::uint8_t>(
-                            (1u << (nRecs % 8)) - 1);
-                    bad |= w;
-                }
-                if (bad != 0)
-                    return fail(c,
-                                "size index outside the dictionary");
-            }
-        } else if (sizeFlag == kSizeRuns) {
+        const unsigned szDictN = *p++;
+        if (szDictN > kMaxSizes || (szDictN == 0) != (nRecs == 0))
+            return fail(c, "size dictionary out of range");
+        std::int32_t szDict[kMaxSizes] = {};
+        for (unsigned d = 0; d < szDictN; ++d) {
             if (!getVarint(&p, end, &v))
                 return truncated();
-            sizeStream.resize(nRecs);
-            fill = 0;
-            for (std::uint64_t r = 0; r < v; ++r) {
-                std::uint64_t size = 0, len = 0;
-                if (!getVarint(&p, end, &size) ||
-                    !getVarint(&p, end, &len))
-                    return truncated();
-                if (len == 0 || fill + len > nRecs)
-                    return fail(c, "size run out of range");
-                for (std::uint64_t i = 0; i < len; ++i)
-                    sizeStream[fill + i] =
-                        static_cast<std::int32_t>(unzigzag(size));
-                fill += len;
-            }
-            if (fill != nRecs)
-                return fail(c, "size runs do not cover the chunk");
-        } else {
-            return fail(c, "unknown size-column encoding");
+            szDict[d] = static_cast<std::int32_t>(unzigzag(v));
         }
-        // Column 5: mode byte, then either plain per-processor deltas
-        // or a selector bit-plane plus deltas against the selected
-        // predictor (previous address or page-keyed table entry),
-        // replaying exactly the prediction state the encoder
-        // maintained.  State updates are mode-independent.  The
-        // one-byte varint case dominates, so it is inlined ahead of
-        // the general decode.
-        if (p == end)
+        if (static_cast<std::size_t>(end - p) < 2 * bmBytes)
             return truncated();
-        const std::uint8_t addrMode = *p++;
-        if (addrMode != kAddrPlain && addrMode != kAddrPred)
-            return fail(c, "unknown address-column encoding");
-        const std::uint8_t* selbm = nullptr;
-        if (addrMode == kAddrPred) {
-            if (static_cast<std::size_t>(end - p) < bmBytes)
-                return truncated();
-            selbm = p;
-            p += bmBytes;
+        const std::uint8_t* szbm = p;
+        p += 2 * bmBytes;
+        // Validate the whole plane pair up front (word-wise: an index
+        // >= dictN is a specific bit pattern), so delivery can read
+        // indices unchecked.
+        if (szDictN < kMaxSizes) {
+            std::uint64_t bad = 0;
+            for (std::size_t b = 0; b < bmBytes; ++b) {
+                const std::uint8_t lo = szbm[b];
+                const std::uint8_t hi = szbm[bmBytes + b];
+                std::uint8_t w = 0;
+                if (szDictN <= 1)
+                    w = static_cast<std::uint8_t>(lo | hi);
+                else if (szDictN == 2)
+                    w = hi;
+                else  // 3: only index 3 (both bits) is invalid
+                    w = static_cast<std::uint8_t>(lo & hi);
+                if (b == bmBytes - 1 && nRecs % 8 != 0)
+                    w &= static_cast<std::uint8_t>(
+                        (1u << (nRecs % 8)) - 1);
+                bad |= w;
+            }
+            if (bad != 0)
+                return fail(c, "size index outside the dictionary");
         }
-        std::uint64_t ag = 0;
-        for (std::size_t pi = 0; pi < np; ++pi) {
-            Addr* tbl = addrTbl[pi].data();
-            Addr last = lastAddr[pi];
-            addrBy[pi].resize(cnt[pi]);
-            Addr* out = addrBy[pi].data();
-            if (selbm == nullptr) {
-                // Plain mode: no selector plane, but the predictor
-                // table still tracks the stream so a later chunk may
-                // switch modes.
+        // Columns 5+6: address, then logical-time deltas in grouped
+        // order, each a zigzag varint against the processor's previous
+        // value (mirrors the encoder).  The one-byte varint case
+        // dominates, so it is inlined ahead of the general decode.
+        auto getDeltas = [&](auto& by, auto& last) {
+            for (std::size_t pi = 0; pi < np; ++pi) {
+                auto acc = last[pi];
+                by[pi].resize(cnt[pi]);
+                auto* out = by[pi].data();
                 for (std::uint32_t k = 0; k < cnt[pi]; ++k) {
                     if (p < end && *p < 0x80)
                         v = *p++;
                     else if (!getVarint(&p, end, &v))
-                        return truncated();
-                    const std::size_t slot =
-                        (last >> kPageShift) & (kAddrSlots - 1);
-                    const Addr a =
-                        last + static_cast<Addr>(unzigzag(v));
-                    out[k] = a;
-                    tbl[slot] = a;
-                    last = a;
+                        return false;
+                    acc += static_cast<decltype(acc)>(unzigzag(v));
+                    out[k] = acc;
                 }
-            } else {
-                for (std::uint32_t k = 0; k < cnt[pi]; ++k, ++ag) {
-                    if (p < end && *p < 0x80)
-                        v = *p++;
-                    else if (!getVarint(&p, end, &v))
-                        return truncated();
-                    const std::size_t slot =
-                        (last >> kPageShift) & (kAddrSlots - 1);
-                    const Addr base =
-                        (selbm[ag / 8] & (1u << (ag % 8))) != 0
-                            ? tbl[slot]
-                            : last;
-                    const Addr a =
-                        base + static_cast<Addr>(unzigzag(v));
-                    out[k] = a;
-                    tbl[slot] = a;
-                    last = a;
-                }
+                last[pi] = acc;
             }
-            lastAddr[pi] = last;
-        }
-        // Column 6: logical-time deltas, grouped by processor -- a
-        // per-chunk delta dictionary plus two index bit-planes over
-        // the grouped order; index 3 escapes to a varint appended
-        // after the planes unless the dictionary is exact with four
-        // entries (mirrors the encoder).
-        if (p == end)
+            return true;
+        };
+        if (!getDeltas(addrBy, lastAddr) || !getDeltas(ltimeBy, lastLtime))
             return truncated();
-        const unsigned ltDictN = *p++;
-        if (ltDictN > 4 || (ltDictN == 0 && nRecs != 0))
-            return fail(c, "ltime dictionary out of range");
-        std::int64_t ltDict[4] = {0, 0, 0, 0};
-        for (unsigned d = 0; d < ltDictN; ++d) {
-            if (!getVarint(&p, end, &v))
-                return truncated();
-            ltDict[d] = unzigzag(v);
-        }
-        if (static_cast<std::size_t>(end - p) < 2 * bmBytes)
-            return truncated();
-        const std::uint8_t* ltbm = p;
-        p += 2 * bmBytes;
-        std::uint64_t g = 0;
-        for (std::size_t pi = 0; pi < np; ++pi) {
-            Tick acc = lastLtime[pi];
-            ltimeBy[pi].resize(cnt[pi]);
-            Tick* out = ltimeBy[pi].data();
-            for (std::uint32_t k = 0; k < cnt[pi]; ++k, ++g) {
-                const unsigned idx =
-                    ((ltbm[g / 8] >> (g % 8)) & 1u) |
-                    (((ltbm[bmBytes + g / 8] >> (g % 8)) & 1u) << 1);
-                if (idx < ltDictN) {
-                    acc += static_cast<Tick>(ltDict[idx]);
-                } else if (idx == 3) {  // escape
-                    if (p < end && *p < 0x80)
-                        v = *p++;
-                    else if (!getVarint(&p, end, &v))
-                        return truncated();
-                    acc += static_cast<Tick>(unzigzag(v));
-                } else {
-                    return fail(c,
-                                "ltime index outside the "
-                                "dictionary");
-                }
-                out[k] = acc;
-            }
-            lastLtime[pi] = acc;
-        }
         // Column 7: events, delivered interleaved with the records.
         if (!getVarint(&p, end, &v) || v != nEvents)
             return fail(c, "event count mismatch");
@@ -1299,19 +1031,14 @@ TraceReader::replay(RefSink* sink, std::string* err)
                     // One-entry dictionaries dominate (most apps
                     // issue a single access width), so skip the
                     // plane reads when the size is a constant.
-                    r.size =
-                        szbm != nullptr
-                            ? (szDictN == 1
-                                   ? szDict[0]
-                                   : szDict
-                                         [((szbm[gi / 8] >>
-                                            (gi % 8)) &
+                    r.size = szDictN == 1
+                                 ? szDict[0]
+                                 : szDict[((szbm[gi / 8] >> (gi % 8)) &
                                            1u) |
                                           (((szbm[bmBytes + gi / 8] >>
                                              (gi % 8)) &
                                             1u)
-                                           << 1)])
-                            : sizeStream[si];
+                                           << 1)];
                     r.type = (bmType[si / 8] & (1u << (si % 8))) != 0
                                  ? AccessType::Write
                                  : AccessType::Read;
@@ -1392,8 +1119,7 @@ TraceReader::replay(RefSink* sink, std::string* err)
         if (p != end)
             return fail(c, "trailing bytes after the event column");
     }
-    if (seenRecords != totalRecords_ ||
-        (sink != nullptr && seenSyncs != totalSyncs_))
+    if (seenRecords != totalRecords_ || seenSyncs != totalSyncs_)
         return fail(totalChunks_,
                     "record/sync totals disagree with the header");
     return true;

@@ -32,26 +32,29 @@
  *                   and the payload) + payload.
  *   [Footer]        execution profile + CRC.
  *
- * Chunk payload: column-oriented delta encoding, then an LZ77 block
- * compressor whose window spans the whole chunk (reference streams
- * repeat with the period of an application iteration, so one
- * iteration matches against the previous one).  Columns: processor
- * run lengths; type/atomic bitmaps; a per-chunk size dictionary plus
- * index bit-planes; address deltas against the better of two
- * replayable predictors (previous address, or a page-keyed table
- * that untangles interleaved streams), chosen per chunk by trial
- * compression; a logical-time delta dictionary plus index bit-planes
- * with varint escapes; and a stream-position-ordered event list
- * (sync / reset / placement).  The delta columns are laid out in
- * processor-grouped order and their prediction state persists across
- * chunks.  The suite amortizes to ~2 bits per reference
- * (BENCH_trace.json pins the measured sizes).
+ * Chunk payload: one encoding per column, then one LZ77 pass whose
+ * window spans the whole chunk.  Columns, in order: processor run
+ * lengths; type/atomic bitmaps; a per-chunk size dictionary (at most
+ * four entries, most frequent first) plus two index bit-planes;
+ * address deltas; logical-time deltas; and a stream-position-ordered
+ * event list (sync / reset / placement).  The size planes and both
+ * delta columns are laid out in processor-grouped order, and every
+ * delta is a zigzag varint against the same processor's previous
+ * value, carried across chunks.  The columns carry no model of their
+ * own: before LZ they cost ~29 bits per reference, and the LZ stage
+ * finds the repetition (reference streams repeat with the period of
+ * an application iteration, so one iteration matches against the
+ * previous one).  The suite amortizes to ~2.4 bits per reference;
+ * BENCH_trace.json pins the measured sizes and scripts/bench_trace.py
+ * fails above 4.
  *
  * Robustness: the reader mmaps the file and bounds-checks every parse
- * against the mapping; the header CRC, per-chunk CRC, footer CRC, and
- * the pinned identity reject truncated, corrupted, or stale files
- * with a diagnostic instead of crashing or replaying garbage
- * (tests/sim/tracestore_test.cc byte-flip fuzz).
+ * against the mapping; the header CRC, per-chunk CRC, footer CRC, the
+ * format version, and the pinned identity reject truncated, corrupted,
+ * or stale files with a diagnostic instead of crashing or replaying
+ * garbage (tests/sim/tracestore_test.cc byte-flip fuzz).  The writer
+ * reports I/O failures as values: the first one is kept and returned
+ * by finalize(), and nothing more is written after it.
  */
 #ifndef SPLASH2_SIM_TRACESTORE_H
 #define SPLASH2_SIM_TRACESTORE_H
@@ -189,12 +192,16 @@ class TraceWriter final : public RefSink
      *  the period of an application iteration (hundreds of thousands
      *  of records), and a match can only reach the previous
      *  iteration if both land in the same chunk's per-processor
-     *  group.  4 M records costs ~100 MB of encode/decode scratch,
-     *  well worth a 2-3x smaller trace on the iterative apps. */
+     *  group.  4 M records costs ~100 MB of scratch on each side
+     *  (buffered records when encoding, per-processor address and
+     *  clock arrays when decoding), well worth a 2-3x smaller trace
+     *  on the iterative apps.  A chunk is cut early when a record
+     *  would bring a fifth distinct access size into it. */
     static constexpr std::size_t kChunkRecords = std::size_t(1) << 22;
 
-    /** Opens <path>.tmp.<pid> for writing; fatal() on I/O failure
-     *  (callers validate the directory up front in the CLI). */
+    /** Opens <path>.tmp.<pid> for writing.  An I/O failure here or
+     *  later is kept (the first one wins), stops all further writes,
+     *  and is returned by finalize(). */
     TraceWriter(std::string path, const TraceMeta& meta,
                 std::size_t chunkRecords = kChunkRecords);
     ~TraceWriter() override;
@@ -212,7 +219,8 @@ class TraceWriter final : public RefSink
 
     /** Flush the tail chunk, write the footer, rewrite the header
      *  with final totals, and atomically publish the file.  False
-     *  (with @p err set) on I/O failure. */
+     *  (with @p err set) on this or any earlier I/O failure; the
+     *  temporary is then removed when the writer is destroyed. */
     bool finalize(const ExecProfile& exec, std::string* err);
 
     std::uint64_t records() const { return totalRecords_; }
@@ -227,7 +235,13 @@ class TraceWriter final : public RefSink
         PlaceRec place;
     };
 
+    /** Write the buffered chunk (if any, and while healthy), then
+     *  clear the buffers. */
     void flushChunk();
+    /** Encode the buffered chunk and append it to the file. */
+    void writeChunk();
+    /** Keep @p msg as the writer's error unless one is already kept. */
+    void failIo(std::string msg);
 
     std::string path_;
     std::string tmpPath_;
@@ -235,20 +249,19 @@ class TraceWriter final : public RefSink
     std::size_t chunkRecords_;
     std::FILE* f_ = nullptr;
     bool finalized_ = false;
+    std::string ioErr_;  ///< first I/O failure; empty while healthy
 
     std::vector<AccessRec> recs_;
     std::vector<Event> events_;
     std::vector<std::uint8_t> enc_;   // encode scratch
     std::vector<std::uint8_t> comp_;  // compress scratch
-    std::vector<std::uint8_t> ltex_;  // ltime-exception scratch
-    std::vector<std::int64_t> ltd_;   // grouped ltime-delta scratch
+    /** Distinct access sizes of the chunk being buffered, with their
+     *  counts (at most four: the size column's dictionary). */
+    std::vector<std::pair<std::int32_t, std::uint64_t>> sizes_;
     /** Per-processor (start, length) runs of the chunk being encoded:
-     *  the iteration order of the processor-grouped delta columns. */
+     *  the iteration order of the processor-grouped columns. */
     std::vector<std::vector<std::pair<std::uint32_t, std::uint32_t>>>
         runsByProc_;
-    /** Per-processor page-keyed next-address tables: the address
-     *  column's second predictor (mirrored by the reader). */
-    std::vector<std::vector<Addr>> addrTbl_;
     std::vector<Addr> lastAddr_;
     std::vector<Tick> lastLtime_;
 
@@ -288,9 +301,8 @@ class TraceReader
      *  valid for replicas during and after replay(). */
     const HomeResolver* placement() const { return &placement_; }
 
-    /** Decode every chunk and deliver the stream to @p sink (null =
-     *  verify-only: CRC + structure walk with no delivery).  False
-     *  with @p err on any corruption.  Placement events mutate
+    /** Decode every chunk and deliver the stream to @p sink, which
+     *  must not be null.  False with @p err on any corruption.  Placement events mutate
      *  placement() between a streamBarrier() and the next record,
      *  exactly like the live runtime. */
     bool replay(RefSink* sink, std::string* err);

@@ -10,7 +10,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <array>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -454,56 +453,41 @@ TEST(TraceStore, RoundTripFuzzGeometries)
     }
 }
 
-/** Regression: a chunk whose ltime column spills escape varints must
- *  not leak scratch bytes into the NEXT chunk's address column.  The
- *  stream interleaves two far-apart strided cursors per processor (an
- *  aperiodic switch pattern), which makes the page-keyed predictor
- *  encoding win the per-chunk trial, while >4 distinct clock strides
- *  force ltime escapes in every chunk. */
-TEST(TraceStore, RoundTripPredictorModeAcrossChunks)
+/** The size column's dictionary holds four sizes, so a record that
+ *  would bring a fifth into a chunk cuts the chunk early.  The stream
+ *  churns through six sizes and nine clock strides, with syncs,
+ *  resets and placements mixed in by writeTrace, and must still
+ *  round-trip exactly -- in more chunks than the record count alone
+ *  would need. */
+TEST(TraceStore, RoundTripSizeChurnCutsChunks)
 {
     const std::string dir = tempDir();
     const TraceMeta m = testMeta(4);
+    constexpr std::size_t kChunk = 512;
+    constexpr std::int32_t kSizes[6] = {1, 2, 4, 8, 16, 64};
     std::mt19937_64 rng(23);
-    std::vector<AccessRec> recs;
-    // Each of 256 "molecules" lives on its own page and has a fixed
-    // partner page chosen by a permutation: visiting molecules in
-    // random order makes the last-address deltas an aperiodic jumble
-    // of large varints, while "partner follows molecule" is exactly
-    // what the page-keyed table predicts.
-    constexpr int kMol = 256;
-    std::array<int, kMol> perm{};
-    for (int i = 0; i < kMol; ++i)
-        perm[i] = (i * 167 + 13) % kMol;
-    std::vector<std::array<Addr, kMol>> off(4);
+    std::vector<Addr> cursor(4, 0x100000000ull);
     std::vector<Tick> clock(4, 0);
-    for (int i = 0; i < 2000; ++i) {
+    std::vector<AccessRec> recs;
+    for (int i = 0; i < 4000; ++i) {
         const int p = static_cast<int>(rng() % 4);
-        const int mol = static_cast<int>(rng() % kMol);
-        const Addr base = 0x100000000ull + std::uint64_t(p) * (1ull << 32);
-        off[p][mol] += (rng() % 4 == 0) ? 8 : 0;
-        const Addr pages[2] = {
-            base + std::uint64_t(mol) * 4096 + off[p][mol],
-            base + (1ull << 28) + std::uint64_t(perm[mol]) * 4096 +
-                off[p][mol]};
-        for (const Addr a : pages) {
-            // Mostly unit strides with a rare large one: >4 distinct
-            // deltas per chunk (so the dictionary must escape) but a
-            // spill small enough that the predictor encoding still
-            // wins its size trial.
-            clock[p] += rng() % 50 == 0 ? 2 + rng() % 99 : 1;
-            AccessRec r;
-            r.addr = a;
-            r.ltime = clock[p];
-            r.size = 8;
-            r.proc = static_cast<std::int16_t>(p);
-            r.type = AccessType::Read;
-            r.flags = 0;
-            recs.push_back(r);
-        }
+        cursor[p] += rng() % 29 == 0 ? rng() % (1u << 20) : 8;
+        clock[p] += 1 + rng() % 9;
+        AccessRec r;
+        r.addr = cursor[p];
+        r.ltime = clock[p];
+        r.size = kSizes[(i / 97 + rng() % 2) % 6];
+        r.proc = static_cast<std::int16_t>(p);
+        r.type = rng() % 3 ? AccessType::Read : AccessType::Write;
+        r.flags = rng() % 13 == 0 ? AccessRec::kAtomic : 0;
+        recs.push_back(r);
     }
     Journal fed;
-    const std::string path = writeTrace(dir, m, recs, 512, &fed);
+    const std::string path = writeTrace(dir, m, recs, kChunk, &fed);
+    std::uint64_t chunks = 0;
+    std::memcpy(&chunks, slurp(path).data() + 96, sizeof(chunks));
+    EXPECT_GT(chunks, recs.size() / kChunk);
+
     std::string err;
     auto rd = TraceReader::open(path, &err);
     ASSERT_NE(rd, nullptr) << err;
@@ -512,6 +496,16 @@ TEST(TraceStore, RoundTripPredictorModeAcrossChunks)
     ASSERT_EQ(got.recs.size(), fed.recs.size());
     for (std::size_t i = 0; i < fed.recs.size(); ++i)
         ASSERT_TRUE(sameRec(got.recs[i], fed.recs[i])) << "record " << i;
+    ASSERT_EQ(got.evs.size(), fed.evs.size());
+    for (std::size_t i = 0; i < fed.evs.size(); ++i) {
+        ASSERT_EQ(got.evs[i].kind, fed.evs[i].kind) << "event " << i;
+        ASSERT_EQ(got.evs[i].pos, fed.evs[i].pos) << "event " << i;
+        if (fed.evs[i].kind == 's') {
+            EXPECT_EQ(got.evs[i].sync.ltime, fed.evs[i].sync.ltime);
+        } else if (fed.evs[i].kind == 'p') {
+            EXPECT_EQ(got.evs[i].place.addr, fed.evs[i].place.addr);
+        }
+    }
 }
 
 TEST(TraceStore, ReplayPlacementMatchesSharedHeap)
@@ -623,6 +617,33 @@ TEST(TraceStore, AbortedWriterLeavesNoFile)
     }
     std::string err;
     EXPECT_EQ(TraceReader::open(path, &err), nullptr);
+    EXPECT_FALSE(tracestore::haveTrace(dir, m));
+}
+
+TEST(TraceStore, WriterIoFailureIsAValue)
+{
+    // A writer pointed into a missing directory cannot create its
+    // file: the failure is reported by finalize(), not by exiting,
+    // and nothing is left on disk.
+    const std::string parent = tempDir();
+    const std::string dir = parent + "/missing";
+    const TraceMeta m = testMeta(2);
+    const std::string path = tracestore::pathFor(dir, m);
+    {
+        TraceWriter w(path, m, 16);
+        for (const AccessRec& r : randomStream(2, 100, 24))
+            w.access(r);
+        ExecProfile e;
+        e.procs.assign(2, ExecProfile::Row{});
+        std::string err;
+        EXPECT_FALSE(w.finalize(e, &err));
+        EXPECT_NE(err.find("cannot create trace file"), std::string::npos)
+            << err;
+        EXPECT_EQ(w.bytesWritten(), 0u);
+    }
+    struct stat st{};
+    EXPECT_NE(::stat(dir.c_str(), &st), 0);
+    EXPECT_NE(::stat(path.c_str(), &st), 0);
     EXPECT_FALSE(tracestore::haveTrace(dir, m));
 }
 
