@@ -9,7 +9,8 @@
  *    BM_MemSysMissProto/dragon, ...) to show the table-driven dispatch
  *    costs the same across the zoo
  *  - Working-set sweep throughput: every Figure-3 operating point
- *    updated per reference (BM_SweepAccess)
+ *    updated per reference (BM_SweepAccess), and the reuse-distance
+ *    profiler on the same reference mix (BM_ReuseDistAccess)
  *  - Batched reference delivery under a full Env (BM_Delivery_Batched)
  *  - Scheduler context-switch cost and quantum sensitivity
  *  - Fiber handoff cost: ping-pong benchmarks where two processors
@@ -28,6 +29,7 @@
 #include "rt/shared.h"
 #include "sim/memsys.h"
 #include "sim/replay.h"
+#include "sim/reusedist.h"
 #include "sim/sweep.h"
 
 using namespace splash;
@@ -157,6 +159,19 @@ BM_SweepAccess(benchmark::State& state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_SweepAccess);
+
+/** Reuse-distance profiler cost per reference on the BM_SweepAccess
+ *  mix: coherence advance, the Mattson stack and one bucket update. */
+static void
+BM_ReuseDistAccess(benchmark::State& state)
+{
+    sim::ReuseDistProfiler prof(4, 64);
+    std::uint64_t x = 12345;
+    for (auto _ : state)
+        sweepStep(prof, x);
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ReuseDistAccess);
 
 /** Broadcast replay throughput: the sweepStep reference mix fanned
  *  out to N MemSystem replicas on consumer threads (N > 0) or

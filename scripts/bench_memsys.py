@@ -4,13 +4,13 @@
 Three measurements:
 
  1. Reference cost: the BM_MemSysHit / BM_MemSysMiss / BM_SweepAccess /
-    BM_Delivery_Batched / BM_Broadcast microbenchmarks from
-    bench/micro_simthroughput (each reports references per second;
-    ns/ref = 1e9 / that).  BM_MemSysHitProto/<name> and
-    BM_MemSysMissProto/<name> repeat the hit/miss measurements under
-    every registered coherence protocol, so the table-driven dispatch
-    can be compared across the zoo (BM_MemSysHit/Miss themselves are
-    the MESI instances).
+    BM_ReuseDistAccess / BM_Delivery_Batched / BM_Broadcast
+    microbenchmarks from bench/micro_simthroughput (each reports
+    references per second; ns/ref = 1e9 / that).
+    BM_MemSysHitProto/<name> and BM_MemSysMissProto/<name> repeat the
+    hit/miss measurements under every registered coherence protocol,
+    so the table-driven dispatch can be compared across the zoo
+    (BM_MemSysHit/Miss themselves are the MESI instances).
  2. End-to-end characterization: wall clock of a full splash2run
     (FFT, 32 processors), best of N.
  3. End-to-end working-set sweep: wall clock of the Figure 3 sweep
@@ -46,7 +46,7 @@ def main():
     os.chdir(benchlib.repo_root())
 
     micro = benchlib.run_micro(
-        args.build, "MemSys|Sweep|Delivery|Broadcast", "ref")
+        args.build, "MemSys|Sweep|ReuseDist|Delivery|Broadcast", "ref")
 
     run_exe = os.path.join(args.build, "src", "splash2run")
     run_args = [run_exe, "--app", "fft", "--procs", "32",

@@ -95,7 +95,7 @@ def main():
                        "sweep vs reuse-distance model from a recorded "
                        "profile sidecar (model outputs byte-compared "
                        "live vs sidecar)",
-        "host_cpus": os.cpu_count(),
+        "provenance": benchlib.provenance(args.build),
         "procs": args.procs,
         "scale": args.scale,
         "reps": args.reps,

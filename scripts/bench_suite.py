@@ -146,25 +146,28 @@ def main():
               f"parallel, {replay_s:.2f}s replay "
               f"({'ok' if identical and replay_identical else 'OUTPUT MISMATCH'})")
 
+    suite_speedup = (None if single_core
+                     else serial_total / parallel_total
+                     if parallel_total else 0.0)
     report = {
         "description": "Full figure/table suite through the parallel "
                        "experiment runner + broadcast replay vs the "
                        "serial oracle (--jobs 1 --replicas off), plus "
                        "record-once trace store record/replay timings "
                        "and trace compactness; outputs byte-compared",
-        "host_cpus": cpus,
+        "provenance": benchlib.provenance(args.build),
         "jobs": args.jobs,
         "scale": "full" if args.full else "quick",
         "reps": args.reps,
         "targets": suite,
         "serial_total_seconds": serial_total,
         "parallel_total_seconds": parallel_total,
-        "suite_speedup": (None if single_core
-                          else serial_total / parallel_total
-                          if parallel_total else 0.0),
+        "suite_speedup": suite_speedup,
         "parallel_criterion": {
             "threshold_speedup": 3.0,
             "evaluated": not single_core,
+            "met": (None if single_core
+                    else suite_speedup >= 3.0),
             "note": ("single-core host: parallel speedup not "
                      "evaluated (the >= 3x criterion needs multiple "
                      "cores; byte-identity checks still ran)"

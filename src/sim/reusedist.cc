@@ -459,10 +459,9 @@ ReuseDistProfiler::touchLine(ProcId p, Addr lineAddr, bool isWrite)
 {
     ReuseDistProfile::Row& row = rows_[p];
     ++row.accesses;
-    std::uint64_t oldVer, newVer;
-    coh_.advance(lineAddr, p, isWrite, &oldVer, &newVer);
-    const std::uint64_t d =
-        stacks_[p].touch(lineAddr, oldVer, newVer, isWrite);
+    bool held = false;
+    coh_.advance(lineAddr, p, isWrite, &held);
+    const std::uint64_t d = stacks_[p].touch(lineAddr, held);
     if (d == StackDistance::kCold) {
         ++row.cold;
     } else if (d == StackDistance::kStale) {

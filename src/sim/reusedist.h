@@ -11,11 +11,13 @@
  * miss-rate curves for *every* capacity:
  *
  *  - Fully associative LRU: directly from the histogram CDF.  The
- *    profiler shares the exact sweep's StackDistance core and
- *    VersionCoherence invalidation model, and every bucket boundary
- *    is a power of two, so the prediction is bit-identical to the
- *    exact Mattson sweep at every power-of-two capacity -- including
- *    coherence misses on sharing streams.
+ *    profiler shares the exact sweep's StackDistance core (flat line
+ *    table, timestamp bitmap, Fenwick tree of its word counts) and
+ *    VersionCoherence invalidation model (a reuse whose processor
+ *    lost its holder bit to a remote write is stale), and every
+ *    bucket boundary is a power of two, so the prediction is
+ *    bit-identical to the exact Mattson sweep at every power-of-two
+ *    capacity -- including coherence misses on sharing streams.
  *  - Finite associativity: the standard binomial correction.  A
  *    random set-index spreads the d distinct lines touched between
  *    reuses over S sets, so a reuse at distance d misses in an A-way

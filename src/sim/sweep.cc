@@ -10,13 +10,21 @@
 namespace splash::sim {
 
 namespace {
-/** Initial and minimum Fenwick-tree capacity.  Compaction resizes the
- *  tree to ~4x the live line count, so the hot random-access array
- *  stays cache resident instead of spanning a fixed 2^21 slots. */
+/** Initial and minimum timestamp capacity (a multiple of 64).
+ *  Compaction resizes it to ~4x the live line count, so the bitmap
+ *  and its tree stay small. */
 constexpr std::uint64_t kTimeCapMin = 1u << 16;
 
-/** Initial version-table capacity (slots; a power of two). */
+/** Initial line-table capacities (slots; powers of two). */
 constexpr std::size_t kCohSlotsMin = std::size_t(1) << 12;
+constexpr std::size_t kStackSlotsMin = std::size_t(1) << 10;
+
+/** Bits 0..b of a bitmap word. */
+inline std::uint64_t
+maskThrough(unsigned b)
+{
+    return (std::uint64_t{2} << b) - 1;
+}
 
 /** Field k of a set block's packed 16-bit prefix lengths. */
 inline unsigned
@@ -103,80 +111,91 @@ CacheSweep::CacheSweep(const SweepConfig& cfg)
 }
 
 StackDistance::StackDistance()
-{
-    timeCap_ = kTimeCapMin;
-    bit_.assign(timeCap_ + 1, 0);
-}
+    : lines_(kStackSlotsMin), live_(kTimeCapMin / 64, 0),
+      tree_(kTimeCapMin / 64 + 1, 0), timeCap_(kTimeCapMin)
+{}
 
 void
-StackDistance::bitAdd(std::uint64_t i, int delta)
+StackDistance::treeAdd(std::uint64_t word, int delta)
 {
-    for (; i <= timeCap_; i += i & (~i + 1))
-        bit_[i] += delta;
+    for (std::uint64_t i = word + 1; i < tree_.size(); i += i & (~i + 1))
+        tree_[i] += delta;
 }
 
 std::uint64_t
-StackDistance::bitSum(std::uint64_t i) const
+StackDistance::prefix(std::uint64_t t) const
 {
-    std::uint64_t s = 0;
-    for (; i > 0; i -= i & (~i + 1))
-        s += bit_[i];
+    std::uint64_t s = std::popcount(live_[t >> 6] & maskThrough(t & 63));
+    for (std::uint64_t i = t >> 6; i > 0; i -= i & (~i + 1))
+        s += tree_[i];
     return s;
 }
 
 void
 StackDistance::compact()
 {
-    // Renumber live lines 1..k in lastTime order and rebuild the tree,
-    // sized to ~4x the live set so timestamps have headroom before the
-    // next compaction.  Relative order is preserved, so every stack
-    // distance computed afterwards is unchanged.
-    std::vector<std::pair<std::uint64_t, Addr>> live;
-    live.reserve(lines_.size());
-    for (const auto& [addr, info] : lines_)
-        live.emplace_back(info.lastTime, addr);
-    std::sort(live.begin(), live.end());
+    // Renumber the lines 0..n-1 in timestamp order: a line's new
+    // timestamp is its mark's rank, read from per-word running counts.
+    // Relative order is preserved, so every stack distance computed
+    // afterwards is unchanged.
+    const std::size_t words = live_.size();
+    std::vector<std::uint64_t> before(words);
+    std::uint64_t run = 0;
+    for (std::size_t w = 0; w < words; ++w) {
+        before[w] = run;
+        run += std::popcount(live_[w]);
+    }
+    for (auto& slot : lines_.slots()) {
+        if (slot.key == LineTable<std::uint64_t>::kFree)
+            continue;
+        const std::uint64_t t = slot.value;
+        const std::uint64_t below = live_[t >> 6] & maskThrough(t & 63);
+        slot.value = before[t >> 6] + std::popcount(below) - 1;
+    }
+    const std::uint64_t n = lines_.size();
     std::uint64_t want = kTimeCapMin;
-    while (want < 4 * (live.size() + 1))
+    while (want < 4 * (n + 1))
         want <<= 1;
     timeCap_ = want;
-    bit_.assign(timeCap_ + 1, 0);
-    std::uint64_t t = 0;
-    for (auto& [time, addr] : live) {
-        (void)time;
-        lines_[addr].lastTime = ++t;
-        bitAdd(t, 1);
+    live_.assign(want / 64, 0);
+    for (std::uint64_t w = 0; w < n / 64; ++w)
+        live_[w] = ~std::uint64_t{0};
+    if (n % 64)
+        live_[n / 64] = maskThrough(n % 64 - 1);
+    // Linear-time Fenwick build over the word counts.
+    tree_.assign(live_.size() + 1, 0);
+    for (std::size_t i = 1; i < tree_.size(); ++i) {
+        tree_[i] += std::popcount(live_[i - 1]);
+        const std::size_t up = i + (i & (~i + 1));
+        if (up < tree_.size())
+            tree_[up] += tree_[i];
     }
-    now_ = t;
+    now_ = n;
 }
 
 std::uint64_t
-StackDistance::touch(Addr line, std::uint64_t oldVer,
-                     std::uint64_t newVer, bool isWrite)
+StackDistance::touch(Addr line, bool held)
 {
-    if (now_ + 1 > timeCap_)
+    if (now_ == timeCap_)
         compact();
-    ++now_;
-    auto it = lines_.find(line);
-    if (it == lines_.end()) {
-        bitAdd(now_, 1);
-        lines_[line] = {now_, isWrite ? newVer : oldVer};
-        return kCold;
-    }
-    LineInfo& info = it->second;
-    std::uint64_t out;
-    if (info.version != oldVer) {
-        // Coherence-invalidated at every capacity.
-        out = kStale;
+    const std::uint64_t t = now_++;
+    bool cold = false;
+    std::uint64_t& last = lines_.lookup(line, &cold);
+    std::uint64_t out = kCold;
+    if (!cold) {
+        // Every line holds one mark, at its last timestamp, so the
+        // marks after `last` are the distinct lines touched since.
+        out = held ? lines_.size() - prefix(last) : kStale;
+        live_[last >> 6] &= ~(std::uint64_t{1} << (last & 63));
+        if ((last >> 6) != (t >> 6)) {
+            treeAdd(last >> 6, -1);
+            treeAdd(t >> 6, 1);
+        }
     } else {
-        // Distance d lines were touched in between; the line hits at
-        // capacity >= d + 1 lines.
-        out = bitSum(now_ - 1) - bitSum(info.lastTime);
+        treeAdd(t >> 6, 1);
     }
-    bitAdd(info.lastTime, -1);
-    bitAdd(now_, 1);
-    info.lastTime = now_;
-    info.version = isWrite ? newVer : oldVer;
+    live_[t >> 6] |= std::uint64_t{1} << (t & 63);
+    last = t;
     return out;
 }
 
@@ -188,80 +207,27 @@ CacheSweep::StackProfiler::init(std::uint64_t max_lines)
 }
 
 void
-CacheSweep::StackProfiler::touch(Addr line, std::uint64_t oldVer,
-                                 std::uint64_t newVer, bool isWrite)
+CacheSweep::StackProfiler::touch(Addr line, bool held)
 {
-    std::uint64_t d = core.touch(line, oldVer, newVer, isWrite);
+    std::uint64_t d = core.touch(line, held);
     if (d == StackDistance::kCold || d == StackDistance::kStale)
         ++coldOrStale;
     else
         ++hist[std::min(d + 1, maxLines + 1)];
 }
 
-VersionCoherence::VersionCoherence()
-    : slots_(kCohSlotsMin, Slot{kFree, {}}),
-      hashShift_(64 - log2i(kCohSlotsMin))
-{}
-
-std::size_t
-VersionCoherence::home(Addr lineAddr) const
-{
-    // Fibonacci hashing: the top bits of the product mix every bit of
-    // the (line-aligned) address.
-    return (lineAddr * 0x9e3779b97f4a7c15ull) >> hashShift_;
-}
-
-VersionCoherence::Line&
-VersionCoherence::lookup(Addr lineAddr)
-{
-    const std::size_t mask = slots_.size() - 1;
-    for (std::size_t i = home(lineAddr);; i = (i + 1) & mask) {
-        Slot& s = slots_[i];
-        if (s.key == lineAddr)
-            return s.line;
-        if (s.key == kFree)
-            break;
-    }
-    ensure(lineAddr != kFree, "line address equals the free-slot marker");
-    if (2 * (used_ + 1) > slots_.size())
-        grow();
-    ++used_;
-    Slot& s = slots_[freeSlot(lineAddr)];
-    s.key = lineAddr;
-    return s.line;
-}
-
-std::size_t
-VersionCoherence::freeSlot(Addr lineAddr) const
-{
-    std::size_t i = home(lineAddr);
-    while (slots_[i].key != kFree)
-        i = (i + 1) & (slots_.size() - 1);
-    return i;
-}
-
-void
-VersionCoherence::grow()
-{
-    std::vector<Slot> old(2 * slots_.size(), Slot{kFree, {}});
-    old.swap(slots_);
-    --hashShift_;
-    for (const Slot& s : old)
-        if (s.key != kFree)
-            slots_[freeSlot(s.key)] = s;
-}
+VersionCoherence::VersionCoherence() : lines_(kCohSlotsMin) {}
 
 std::uint64_t
 VersionCoherence::advance(Addr lineAddr, ProcId p, bool isWrite,
-                          std::uint64_t* oldVer, std::uint64_t* newVer)
+                          bool* held)
 {
-    Line& c = lookup(lineAddr);
+    Line& c = lines_.lookup(lineAddr);
     const std::uint64_t self = std::uint64_t{1} << p;
     std::uint64_t invalidated = 0;
-    *oldVer = c.version;
+    *held = (c.holders & self) != 0;
     if (isWrite) {
         if (c.lastWriter != p || c.readSince) {
-            ++c.version;
             c.lastWriter = p;
             c.readSince = false;
             invalidated = c.holders & ~self;
@@ -271,7 +237,6 @@ VersionCoherence::advance(Addr lineAddr, ProcId p, bool isWrite,
         c.readSince = true;
     }
     c.holders |= self;
-    *newVer = c.version;
     return invalidated;
 }
 
@@ -295,10 +260,9 @@ CacheSweep::accessLine(ProcId p, Addr lineAddr, AccessType type)
     for (const SetGroup& g : groups_)
         __builtin_prefetch(g.block(pr.sets.data(), line_id), 1);
 
-    const bool is_write = type == AccessType::Write;
-    std::uint64_t old_ver, new_ver;
+    bool held = false;
     std::uint64_t inv =
-        coh_.advance(lineAddr, p, is_write, &old_ver, &new_ver);
+        coh_.advance(lineAddr, p, type == AccessType::Write, &held);
     for (; inv; inv &= inv - 1)
         invalidate(procs_[std::countr_zero(inv)], lineAddr);
 
@@ -325,7 +289,7 @@ CacheSweep::accessLine(ProcId p, Addr lineAddr, AccessType type)
         tags[0] = lineAddr;
     }
 
-    pr.stack.touch(lineAddr, old_ver, new_ver, is_write);
+    pr.stack.touch(lineAddr, held);
 }
 
 void

@@ -1,5 +1,6 @@
 // Tests for the single-pass multi-configuration cache sweep, including
-// cross-validation against the full MemSystem simulator, input
+// cross-validation against the full MemSystem simulator, a differential
+// fuzz of the stack-distance core against a naive Mattson stack, input
 // validation, and reproduction of the committed Figure 3 curves.  The
 // differential fuzz against the per-configuration tag-array oracle
 // lives in reference_model_test.cc.
@@ -17,6 +18,7 @@
 #include "harness/experiment.h"
 #include "sim/memsys.h"
 #include "sim/sweep.h"
+#include "tag_array_sweep.h"
 
 using namespace splash;
 using namespace splash::sim;
@@ -186,9 +188,9 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(Sweep, CompactionPreservesCounts)
 {
-    // Drive enough accesses to force many Fenwick compactions (the
-    // tree's capacity adapts to the live line count, so a small
-    // footprint keeps it tiny and compacts often) and verify the
+    // Drive enough accesses to force many timestamp compactions (the
+    // capacity adapts to the live line count, so a small footprint
+    // keeps it at its minimum and compacts often) and verify the
     // fully-associative profile is unaffected.
     CacheSweep sw(sweepCfg(1));
     const std::uint64_t kTotal = (1u << 21) + 5000;
@@ -203,7 +205,7 @@ TEST(Sweep, CompactionPreservesCounts)
 
 TEST(Sweep, AdaptiveFenwickGrowsWithFootprint)
 {
-    // A footprint far beyond the minimum tree capacity (2^16 slots)
+    // A footprint far beyond the minimum timestamp capacity (2^16)
     // forces the capacity to grow across compactions; distances must
     // stay exact.  Scan 40000 distinct lines twice: all cold the first
     // pass, and on the second pass every line's reuse distance is the
@@ -217,6 +219,93 @@ TEST(Sweep, AdaptiveFenwickGrowsWithFootprint)
     EXPECT_EQ(sw.misses(1 << 20, 0), 2 * kLines);  // 1 MB < footprint
     EXPECT_EQ(sw.accesses(), 2 * kLines);
 }
+
+// The stack-distance core against the oracle's naive stack: the core's
+// distances come from a bitmap, a Fenwick tree over its word counts and
+// periodic compaction, its staleness from the coherence holder mask;
+// the naive stack searches a recency list and compares lazy version
+// stamps.  Every touch() outcome must be equal.
+class StackDistanceFuzz
+    : public ::testing::TestWithParam<std::tuple<std::uint64_t, int>>
+{};
+
+TEST_P(StackDistanceFuzz, MatchesNaiveStack)
+{
+    const auto [seed, nprocs] = GetParam();
+    // Most references come from the last processor (holder bit 63 at
+    // 64 processors), so its timestamps cross several compactions.
+    const ProcId focus = nprocs - 1;
+    VersionCoherence coh;
+    VersionStamps versions;
+    std::vector<StackDistance> stacks(nprocs);
+    std::vector<NaiveStack> naive(nprocs);
+
+    // Per phase, a working set of `lines` lines: a hot sixteenth of it,
+    // a cyclic scan over all of it, and a small pool every processor
+    // reads and writes.  The working set grows and shrinks from phase
+    // to phase; phases 4 and 5 return to the lines of phases 0 and 1
+    // after tens of thousands of other lines.  The focus processor's
+    // footprint passes 16384 lines, so the line table grows and the
+    // timestamp capacity is regrown above its 2^16 minimum.
+    struct Phase
+    {
+        std::uint64_t lines;
+        int refs;
+    };
+    const Phase phases[] = {{300, 40000}, {6000, 60000}, {18000, 150000},
+                            {900, 40000}, {12000, 60000}, {64, 40000}};
+    std::uint64_t x = seed, stale = 0, deep = 0, focusRefs = 0;
+    for (int ph = 0; ph < 6; ++ph) {
+        const Phase& phase = phases[ph];
+        const Addr base = 0x10000000 + Addr(ph % 4) * 0x1000000;
+        std::uint64_t cursor = 0;
+        for (int i = 0; i < phase.refs; ++i) {
+            x = x * 6364136223846793005ull + 1442695040888963407ull;
+            const std::uint64_t r = x >> 24;
+            const ProcId p = (x >> 8) % 8 ? focus
+                                          : static_cast<ProcId>(
+                                                (x >> 40) % nprocs);
+            Addr line = 0;
+            bool isWrite = ((x >> 4) & 15) == 0;
+            switch ((x >> 12) % 16) {
+              case 0: case 1:  // shared pool: remote writes
+                line = 0x1000 + (r % 32) * 64;
+                isWrite = (x >> 4) & 1;
+                break;
+              case 2: case 3:  // cyclic scan: cold, or distance ~ lines
+                line = base + (cursor++ % phase.lines) * 64;
+                break;
+              default:  // hot sixteenth
+                line = base + (r % (phase.lines / 16 + 1)) * 64;
+                break;
+            }
+            bool held = false;
+            coh.advance(line, p, isWrite, &held);
+            std::uint64_t oldVer = 0, newVer = 0;
+            versions.advance(line, p, isWrite, &oldVer, &newVer);
+            const std::uint64_t want =
+                naive[p].touch(line, oldVer, newVer, isWrite);
+            ASSERT_EQ(stacks[p].touch(line, held), want)
+                << "phase " << ph << " ref " << i << " proc " << p;
+            stale += want == StackDistance::kStale;
+            deep += want != StackDistance::kStale &&
+                    want != StackDistance::kCold && want >= 16384;
+            focusRefs += p == focus;
+        }
+    }
+    // The stream does what the comments above claim.
+    EXPECT_GT(focusRefs, 4u * 65536);
+    EXPECT_GT(naive[focus].lines(), 16384u);
+    EXPECT_GT(deep, 0u);
+    if (nprocs > 1) {
+        EXPECT_GT(stale, 1000u);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Seeds, StackDistanceFuzz,
+    ::testing::Combine(::testing::Values(7ull, 2024ull),
+                       ::testing::Values(1, 6, 64)));
 
 TEST(Sweep, LineSpanningAccessCountsOncePerLine)
 {

@@ -12,8 +12,11 @@
  *    since the last write).  A cached tag whose stored version is
  *    stale is a coherence miss; on a miss the victim is an empty way
  *    first, then a stale way, then the LRU way.
- *  - Fully associative LRU of every size comes from the same Mattson
- *    stack core (sim::StackDistance) the production sweep uses.
+ *  - Fully associative LRU of every size comes from a naive Mattson
+ *    stack (NaiveStack): one recency-ordered list per processor, each
+ *    entry carrying its own lazy version stamp, searched linearly.
+ *    It shares no code with sim::StackDistance, so the oracle also
+ *    checks the production stack-distance core.
  *
  * Slow and obviously correct; the differential tests require every
  * (size, assoc) miss count of CacheSweep to equal this model's.
@@ -29,6 +32,89 @@
 #include "sim/sweep.h"
 
 namespace splash::sim {
+
+/** Lazy version-stamp coherence: a per-line global version is bumped
+ *  whenever a write must invalidate other copies (writer changed, or
+ *  somebody else read since the last write).  A copy stored at an
+ *  older version has been coherence-invalidated. */
+class VersionStamps
+{
+  public:
+    /** Advance @p lineAddr for one access by @p p and report the
+     *  (before, after) versions. */
+    void
+    advance(Addr lineAddr, ProcId p, bool isWrite, std::uint64_t* oldVer,
+            std::uint64_t* newVer)
+    {
+        Line& c = lines_[lineAddr];
+        *oldVer = c.version;
+        if (isWrite) {
+            if (c.lastWriter != p || c.readSince) {
+                ++c.version;
+                c.lastWriter = p;
+                c.readSince = false;
+            }
+        } else if (c.lastWriter != p) {
+            c.readSince = true;
+        }
+        *newVer = c.version;
+    }
+
+    std::uint64_t
+    version(Addr lineAddr) const
+    {
+        auto it = lines_.find(lineAddr);
+        return it == lines_.end() ? 0 : it->second.version;
+    }
+
+  private:
+    struct Line
+    {
+        std::uint64_t version = 0;
+        ProcId lastWriter = -1;
+        bool readSince = false;
+    };
+    std::unordered_map<Addr, Line> lines_;
+};
+
+/** Naive Mattson stack for one processor: every line it touched, in
+ *  recency order (most recent last), each with the version it was
+ *  stored at.  A reuse's distance is the number of entries after it,
+ *  found by a linear search: O(distance) per reference. */
+class NaiveStack
+{
+  public:
+    /** Same outcomes as sim::StackDistance::touch: kCold on a first
+     *  touch, kStale when the stored version is not @p oldVer, else
+     *  the number of distinct lines touched since the previous
+     *  reference. */
+    std::uint64_t
+    touch(Addr line, std::uint64_t oldVer, std::uint64_t newVer,
+          bool isWrite)
+    {
+        std::size_t d = 0;
+        while (d < mru_.size() && mru_[mru_.size() - 1 - d].line != line)
+            ++d;
+        std::uint64_t out = StackDistance::kCold;
+        if (d < mru_.size()) {
+            const std::size_t i = mru_.size() - 1 - d;
+            out = mru_[i].version == oldVer ? d : StackDistance::kStale;
+            mru_.erase(mru_.begin() + static_cast<std::ptrdiff_t>(i));
+        }
+        mru_.push_back({line, isWrite ? newVer : oldVer});
+        return out;
+    }
+
+    std::size_t lines() const { return mru_.size(); }
+
+  private:
+    struct Entry
+    {
+        Addr line;
+        std::uint64_t version;
+    };
+    std::vector<Entry> mru_;
+};
 
 class TagArraySweep
 {
@@ -111,13 +197,6 @@ class TagArraySweep
     }
 
   private:
-    struct Line
-    {
-        std::uint64_t version = 0;
-        ProcId lastWriter = -1;
-        bool readSince = false;
-    };
-
     struct TagEntry
     {
         Addr tag = 0;
@@ -138,19 +217,12 @@ class TagArraySweep
     struct Proc
     {
         std::vector<TagArray> arrays;
-        StackDistance stack;
+        NaiveStack stack;
         std::vector<std::uint64_t> hist;
         std::uint64_t maxLines = 0;
         std::uint64_t coldOrStale = 0;
         std::uint64_t accesses = 0;
     };
-
-    std::uint64_t
-    version(Addr lineAddr) const
-    {
-        auto it = lines_.find(lineAddr);
-        return it == lines_.end() ? 0 : it->second.version;
-    }
 
     void
     accessLine(ProcId p, Addr lineAddr, bool isWrite)
@@ -158,18 +230,8 @@ class TagArraySweep
         Proc& pr = procs_[p];
         ++pr.accesses;
 
-        Line& c = lines_[lineAddr];
-        const std::uint64_t oldVer = c.version;
-        if (isWrite) {
-            if (c.lastWriter != p || c.readSince) {
-                ++c.version;
-                c.lastWriter = p;
-                c.readSince = false;
-            }
-        } else if (c.lastWriter != p) {
-            c.readSince = true;
-        }
-        const std::uint64_t newVer = c.version;
+        std::uint64_t oldVer = 0, newVer = 0;
+        versions_.advance(lineAddr, p, isWrite, &oldVer, &newVer);
 
         const std::uint64_t lineId = lineAddr >> lineShift_;
         for (TagArray& ta : pr.arrays)
@@ -205,7 +267,7 @@ class TagArraySweep
             TagEntry* lru = base;
             for (int w = 0; w < ta.ways && !slot; ++w) {
                 TagEntry& e = base[w];
-                if (!e.valid || version(e.tag) != e.version)
+                if (!e.valid || versions_.version(e.tag) != e.version)
                     slot = &e;
                 if (e.valid && e.lastUse < lru->lastUse)
                     lru = &e;
@@ -221,7 +283,7 @@ class TagArraySweep
 
     SweepConfig cfg_;
     int lineShift_;
-    std::unordered_map<Addr, Line> lines_;
+    VersionStamps versions_;
     std::vector<Proc> procs_;
 };
 
