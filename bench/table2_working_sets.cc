@@ -25,6 +25,7 @@
 
 #include "harness/cli.h"
 #include "harness/runner.h"
+#include "harness/workingset.h"
 
 using namespace splash;
 using namespace splash::harness;
@@ -43,14 +44,15 @@ profileAt(App& app, int procs, double scale, const SimOpts& simOpts)
     sim::SweepConfig sc;
     sc.nprocs = procs;
     sc.assocs = {4};  // the knees are read off the 4-way curve only
-    sim::CacheSweep sweep(sc);
     AppConfig cfg;
     cfg.scale = scale;
-    runWithSweep(app, procs, sweep, cfg, simOpts);
+    SimOpts exact = simOpts;
+    exact.sweep = sim::SweepMode::Exact;
+    const WorkingSetRun run = runWorkingSets(app, procs, sc, cfg, exact);
     Profile p;
     p.sizes = sc.sizes;
     for (auto s : sc.sizes)
-        p.mr.push_back(sweep.missRate(s, 4));
+        p.mr.push_back(run.exact->missRate(s, 4));
     return p;
 }
 

@@ -5,10 +5,12 @@
  *
  *   --jobs N          host threads for independent experiments
  *                     (N >= 1; default 1 = serial)
- *   --replicas MODE   broadcast replay of multi-configuration runs:
- *                     off | auto (default auto).  auto runs the
- *                     replicas on consumer threads on a multi-core
- *                     host and inline on a single core
+ *   --replicas MODE   how multi-configuration runs share a stream:
+ *                     off | auto (default auto).  auto broadcasts
+ *                     one stream to every configuration, on consumer
+ *                     threads on a multi-core host and inline on a
+ *                     single core; off gives each configuration its
+ *                     own run of the single-configuration driver
  *   --quantum N       instrumentation events per scheduling slice
  *                     (default 250)
  *   --sweep MODE      working-set sweep engine: exact | model | both
@@ -37,6 +39,11 @@
  *   --replay DIR      replay reference streams from trace store DIR
  *                     (or a single .s2t file) instead of executing;
  *                     mutually exclusive with --record
+ *
+ * --record and --replay act in one place: the StreamSource every
+ * driver in harness/experiment.h and harness/workingset.h gets its
+ * reference stream from, so a live, recording or replayed run takes
+ * the same path through every driver and every --replicas mode.
  *
  * --protocol and --interconnect select the machine being measured and
  * --quantum selects the interleaving (where the scheduler switches

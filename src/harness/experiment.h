@@ -3,12 +3,20 @@
  * Experiment drivers shared by the characterization benches: run a
  * program under a given machine configuration and collect execution
  * and memory-system statistics.
+ *
+ * Every driver has one shape -- build its sinks, drive one
+ * StreamSource, collect -- so whether the reference stream comes from
+ * live execution, live execution recorded into a trace store, or a
+ * replayed trace is decided in one place, and --replicas off is a
+ * loop over the single-configuration driver.
  */
 #ifndef SPLASH2_HARNESS_EXPERIMENT_H
 #define SPLASH2_HARNESS_EXPERIMENT_H
 
 #include <memory>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "base/log.h"
 #include "harness/app.h"
@@ -35,13 +43,13 @@ struct RunStats
     sim::RaceOutcome race;
 };
 
-/** How multi-configuration characterizations execute (bit-identical
+/** How multi-configuration characterizations run (bit-identical
  *  results in either mode):
  *
- *  - Off: one dedicated execution per configuration, each with its
- *    own Env (the serial oracle for broadcast replay).
- *  - Auto: one execution broadcast to all configurations.  The
- *    replicas run on consumer threads with bounded back-pressure when
+ *  - Off: one dedicated run of runExperiment per configuration (the
+ *    serial oracle for broadcast replay).
+ *  - Auto: one stream broadcast to all configurations.  The replicas
+ *    run on consumer threads with bounded back-pressure when
  *    threadedReplicas() says so, else on the producer thread. */
 enum class Replicas : std::uint8_t { Off, Auto };
 
@@ -121,9 +129,9 @@ raceConfigFor(sim::RaceGranularity gran, int nprocs, int lineSize)
 }
 
 // ----------------------------------------------------------------------
-// Trace-store glue (sim/tracestore.h): identity of a recording, the
-// execution-profile <-> ProcStats conversions, and the record/replay
-// entry points shared by every driver below.
+// Trace-store glue (sim/tracestore.h): identity of a recording and the
+// execution-profile <-> ProcStats conversions, then the one stream
+// source every driver below runs on.
 
 /** Identity a trace is recorded under: everything the reference
  *  stream of (app, P) depends on.  The quantum is pinned because it
@@ -189,42 +197,214 @@ statsFromProfile(const sim::ExecProfile& e)
     return r;
 }
 
-/** Recorder for this run, or null when recording is off or a
- *  finalized trace for this identity already exists (record once). */
-inline std::unique_ptr<sim::TraceWriter>
-makeRecorder(const App& app, int nprocs, const AppConfig& cfg,
-             const SimOpts& simOpts)
+/** RefSink shim driving a MemSystem or a CacheSweep -- neither is
+ *  itself a RefSink -- from a replayed stream. */
+template <class Model>
+class PortRefSink final : public sim::RefSink
 {
-    if (simOpts.record.empty())
-        return nullptr;
-    const sim::TraceMeta m = traceMetaFor(app, nprocs, cfg, simOpts);
-    if (sim::tracestore::haveTrace(simOpts.record, m))
-        return nullptr;
-    return std::make_unique<sim::TraceWriter>(
-        sim::tracestore::pathFor(simOpts.record, m), m);
-}
+  public:
+    explicit PortRefSink(Model& m) : model_(m) {}
+    void
+    access(const sim::AccessRec& r) override
+    {
+        model_.access(r.proc, r.addr, r.size, r.type);
+    }
+    void resetStats() override { model_.resetStats(); }
 
-/** Finalize a recording with the run's execution profile. */
-inline void
-finalizeRecording(sim::TraceWriter& rec, const RunStats& r)
-{
-    std::string err;
-    if (!rec.finalize(execProfileFrom(r.perProc, r.elapsed, r.valid),
-                      &err))
-        fatal(err);
-}
+  private:
+    Model& model_;
+};
 
-/** Open (and identity-check) the trace this run replays from. */
-inline std::unique_ptr<sim::TraceReader>
-openReplay(const App& app, int nprocs, const AppConfig& cfg,
-           const SimOpts& simOpts)
+using SweepRefSink = PortRefSink<sim::CacheSweep>;
+
+/** One replayed stream fanned out to several sinks in order (the
+ *  trace reader takes a single sink). */
+class TeeRefSink final : public sim::RefSink
 {
-    std::string err;
-    auto rd = sim::tracestore::openFor(
-        simOpts.replay, traceMetaFor(app, nprocs, cfg, simOpts), &err);
-    if (rd == nullptr)
-        fatal(err);
-    return rd;
+  public:
+    explicit TeeRefSink(std::vector<sim::RefSink*> sinks)
+        : sinks_(std::move(sinks))
+    {
+    }
+    void
+    access(const sim::AccessRec& r) override
+    {
+        for (sim::RefSink* s : sinks_)
+            s->access(r);
+    }
+    void
+    sync(const sim::SyncRec& r) override
+    {
+        for (sim::RefSink* s : sinks_)
+            s->sync(r);
+    }
+    void
+    place(const sim::PlaceRec& r) override
+    {
+        for (sim::RefSink* s : sinks_)
+            s->place(r);
+    }
+    void
+    resetStats() override
+    {
+        for (sim::RefSink* s : sinks_)
+            s->resetStats();
+    }
+    void
+    streamBarrier() override
+    {
+        for (sim::RefSink* s : sinks_)
+            s->streamBarrier();
+    }
+
+  private:
+    std::vector<sim::RefSink*> sinks_;
+};
+
+/** The one source of every driver's reference stream.
+ *
+ *  Live (the default), the application executes in a fresh Env; with
+ *  SimOpts::record set the stream is also recorded into the trace
+ *  store, unless a finalized trace of this identity is already there
+ *  (record once).  With SimOpts::replay set the application never
+ *  executes: the recorded stream feeds the sinks and the execution
+ *  counters come from the trace footer, so statistics are
+ *  byte-identical to a live run (tests/sim/tracestore_test.cc).
+ *
+ *  A driver builds its sinks against homes(), attaches them, calls
+ *  run() once and collects.  Every trace-store failure -- open,
+ *  identity check, replay, finalize -- ends in the one fatal() of
+ *  check(), with the store's own diagnostic. */
+class StreamSource
+{
+  public:
+    StreamSource(App& app, int nprocs, const AppConfig& cfg,
+                 const SimOpts& simOpts)
+        : app_(app), cfg_(cfg)
+    {
+        const sim::TraceMeta meta =
+            traceMetaFor(app, nprocs, cfg, simOpts);
+        if (!simOpts.replay.empty()) {
+            rd_ = sim::tracestore::openFor(simOpts.replay, meta, &err_);
+            check(rd_ != nullptr);
+            return;
+        }
+        env_ = std::make_unique<rt::Env>(
+            rt::EnvConfig{rt::Mode::Sim, nprocs, simOpts.quantum});
+        if (!simOpts.record.empty() &&
+            !sim::tracestore::haveTrace(simOpts.record, meta))
+            rec_ = std::make_unique<sim::TraceWriter>(
+                sim::tracestore::pathFor(simOpts.record, meta), meta);
+    }
+
+    /** Home resolver of the run's data placement, valid before run():
+     *  the live heap, or the placement rebuilt from the recorded
+     *  placement events. */
+    const sim::HomeResolver*
+    homes() const
+    {
+        return rd_ ? rd_->placement() : &env_->heap();
+    }
+
+    /** Attach a sink; MemSystem and CacheSweep take the Env's direct
+     *  delivery path live and a PortRefSink on replay. */
+    void
+    attach(sim::MemSystem* m)
+    {
+        if (env_)
+            env_->attachMemSystem(m);
+        else
+            attachPort(m);
+    }
+    void
+    attach(sim::CacheSweep* s)
+    {
+        if (env_)
+            env_->attachSweep(s);
+        else
+            attachPort(s);
+    }
+    void
+    attach(sim::RefSink* s)
+    {
+        if (env_)
+            env_->attachSink(s);
+        else
+            sinks_.push_back(s);
+    }
+
+    /** Drive the stream through every attached sink and return the
+     *  execution half of the run's statistics.  A replay with no sink
+     *  reads only the footer. */
+    RunStats
+    run()
+    {
+        if (rd_) {
+            if (!sinks_.empty()) {
+                TeeRefSink tee(sinks_);
+                check(rd_->replay(&tee, &err_));
+            }
+            return statsFromProfile(rd_->exec());
+        }
+        if (rec_)
+            env_->attachSink(rec_.get());
+        RunStats r;
+        r.valid = app_.run(*env_, cfg_).valid;
+        for (int p = 0; p < env_->nprocs(); ++p) {
+            r.perProc.push_back(env_->stats(p));
+            r.exec += env_->stats(p);
+        }
+        r.elapsed = env_->elapsed();
+        if (rec_)
+            check(rec_->finalize(
+                execProfileFrom(r.perProc, r.elapsed, r.valid), &err_));
+        return r;
+    }
+
+  private:
+    template <class Model>
+    void
+    attachPort(Model* m)
+    {
+        attach(ports_.emplace_back(std::make_unique<PortRefSink<Model>>(*m))
+                   .get());
+    }
+
+    void
+    check(bool ok) const
+    {
+        if (!ok)
+            fatal(err_);
+    }
+
+    App& app_;
+    const AppConfig& cfg_;
+    std::string err_;
+    std::unique_ptr<rt::Env> env_;             ///< live runs
+    std::unique_ptr<sim::TraceWriter> rec_;    ///< live, recording
+    std::unique_ptr<sim::TraceReader> rd_;     ///< replayed runs
+    std::vector<sim::RefSink*> sinks_;         ///< replay fan-out
+    std::vector<std::unique_ptr<sim::RefSink>> ports_;
+};
+
+/** Complete the execution half @p r of a run with the statistics of
+ *  the memory system and the race detector that consumed its stream
+ *  (either may be null). */
+inline RunStats
+measured(RunStats r, const sim::MemSystem* mem,
+         const sim::RaceChecker* race)
+{
+    if (mem != nullptr) {
+        for (std::size_t p = 0; p < r.perProc.size(); ++p)
+            r.memPerProc.push_back(
+                mem->procStats(static_cast<ProcId>(p)));
+        r.mem = mem->total();
+    }
+    if (race != nullptr) {
+        r.raceChecked = true;
+        r.race = race->outcome();
+    }
+    return r;
 }
 
 /** Run @p app on @p nprocs with no memory system attached (PRAM-only;
@@ -233,48 +413,18 @@ openReplay(const App& app, int nprocs, const AppConfig& cfg,
  *  otherwise SimOpts::race != Off attaches an internal one. */
 inline RunStats
 runPram(App& app, int nprocs, const AppConfig& cfg,
-        const SimOpts& sim = {}, sim::RaceChecker* race = nullptr)
+        const SimOpts& simOpts = {}, sim::RaceChecker* race = nullptr)
 {
     std::unique_ptr<sim::RaceChecker> owned;
-    if (race == nullptr && sim.race != sim::RaceGranularity::Off) {
+    if (race == nullptr && simOpts.race != sim::RaceGranularity::Off) {
         owned = std::make_unique<sim::RaceChecker>(
-            raceConfigFor(sim.race, nprocs, 64));
+            raceConfigFor(simOpts.race, nprocs, 64));
         race = owned.get();
     }
-    if (!sim.replay.empty()) {
-        auto rd = openReplay(app, nprocs, cfg, sim);
-        if (race != nullptr) {
-            std::string err;
-            if (!rd->replay(race, &err))
-                fatal(err);
-        }
-        RunStats out = statsFromProfile(rd->exec());
-        if (race != nullptr) {
-            out.raceChecked = true;
-            out.race = race->outcome();
-        }
-        return out;
-    }
-    rt::Env env({rt::Mode::Sim, nprocs, sim.quantum});
+    StreamSource src(app, nprocs, cfg, simOpts);
     if (race != nullptr)
-        env.attachSink(race);
-    auto rec = makeRecorder(app, nprocs, cfg, sim);
-    if (rec)
-        env.attachSink(rec.get());
-    RunStats out;
-    out.valid = app.run(env, cfg).valid;
-    for (int p = 0; p < nprocs; ++p) {
-        out.perProc.push_back(env.stats(p));
-        out.exec += env.stats(p);
-    }
-    out.elapsed = env.elapsed();
-    if (rec)
-        finalizeRecording(*rec, out);
-    if (race != nullptr) {
-        out.raceChecked = true;
-        out.race = race->outcome();
-    }
-    return out;
+        src.attach(race);
+    return measured(src.run(), nullptr, race);
 }
 
 /** One memory-system operating point of a multi-configuration
@@ -294,6 +444,53 @@ struct MemExperiment
     sim::Interconnect interconnect = sim::Interconnect::Directory;
 };
 
+/** The simulated machine of @p e on @p nprocs processors. */
+inline sim::MachineConfig
+machineFor(const MemExperiment& e, int nprocs)
+{
+    sim::MachineConfig mc;
+    mc.nprocs = nprocs;
+    mc.cache = e.cache;
+    mc.replacementHints = e.hints;
+    mc.protocol = e.protocol;
+    mc.interconnect = e.interconnect;
+    return mc;
+}
+
+/** Characterize @p app under the one operating point @p e: the
+ *  single-configuration driver, and -- one call per experiment --
+ *  Replicas::Off's serial oracle for the broadcast path. */
+inline RunStats
+runExperiment(App& app, int nprocs, const MemExperiment& e,
+              const AppConfig& cfg, const SimOpts& simOpts = {})
+{
+    StreamSource src(app, nprocs, cfg, simOpts);
+    sim::MemSystem mem(machineFor(e, nprocs),
+                       e.placed ? src.homes() : nullptr);
+    mem.setCheckPeriod(simOpts.checkPeriod);
+    src.attach(&mem);
+    std::unique_ptr<sim::RaceChecker> race;
+    if (simOpts.race != sim::RaceGranularity::Off) {
+        race = std::make_unique<sim::RaceChecker>(
+            raceConfigFor(simOpts.race, nprocs, e.cache.lineSize));
+        src.attach(race.get());
+    }
+    return measured(src.run(), &mem, race.get());
+}
+
+/** Run @p app under the full directory-coherent memory system
+ *  (simOpts.protocol selects the protocol; default MESI). */
+inline RunStats
+runWithMemSystem(App& app, int nprocs, const sim::CacheConfig& cache,
+                 const AppConfig& cfg, const SimOpts& simOpts = {})
+{
+    return runExperiment(app, nprocs,
+                         {.cache = cache,
+                          .protocol = simOpts.protocol,
+                          .interconnect = simOpts.interconnect},
+                         cfg, simOpts);
+}
+
 /** Broadcast replica set for @p exps: one MemSystem replica per
  *  experiment (placed ones resolve homes through @p homes), then --
  *  when race detection is on -- race replicas appended after the
@@ -311,11 +508,7 @@ broadcastSpecs(const std::vector<MemExperiment>& exps, int nprocs,
     specs.reserve(exps.size());
     for (const MemExperiment& e : exps) {
         sim::ReplicaSpec s;
-        s.machine.nprocs = nprocs;
-        s.machine.cache = e.cache;
-        s.machine.replacementHints = e.hints;
-        s.machine.protocol = e.protocol;
-        s.machine.interconnect = e.interconnect;
+        s.machine = machineFor(e, nprocs);
         s.homes = e.placed ? homes : nullptr;
         s.checkPeriod = simOpts.checkPeriod;
         specs.push_back(s);
@@ -348,243 +541,55 @@ broadcastSpecs(const std::vector<MemExperiment>& exps, int nprocs,
     return specs;
 }
 
-/** The live broadcast path of runCharacterizations with an explicit
- *  consumer shape: @p app executes once and a BroadcastReplay feeds
- *  one replica per experiment, replayed on one consumer thread per
- *  replica when @p threaded, else inline on the producer thread.
- *  Both shapes give identical statistics (tests/sim/replay_test.cc);
- *  runCharacterizations picks one with threadedReplicas(). */
+/** The broadcast path of runCharacterizations with an explicit
+ *  consumer shape: one stream (live or replayed) feeds a
+ *  BroadcastReplay with one replica per experiment, replayed on one
+ *  consumer thread per replica when @p threaded, else inline on the
+ *  stream's thread.  Both shapes give identical statistics
+ *  (tests/sim/replay_test.cc); runCharacterizations picks one with
+ *  threadedReplicas(). */
 inline std::vector<RunStats>
 broadcastCharacterizations(App& app, int nprocs,
                            const std::vector<MemExperiment>& exps,
                            const AppConfig& cfg, const SimOpts& simOpts,
                            bool threaded)
 {
+    StreamSource src(app, nprocs, cfg, simOpts);
+    std::vector<int> raceOf;
+    sim::BroadcastReplay bc(
+        broadcastSpecs(exps, nprocs, simOpts, src.homes(), &raceOf),
+        threaded);
+    src.attach(&bc);
+    const RunStats base = src.run();
+    bc.flush();
     std::vector<RunStats> out;
-    auto rec = makeRecorder(app, nprocs, cfg, simOpts);
-    rt::Env env({rt::Mode::Sim, nprocs, simOpts.quantum});
-    std::vector<int> raceReplicaOfExp;
-    std::vector<sim::ReplicaSpec> specs = broadcastSpecs(
-        exps, nprocs, simOpts, &env.heap(), &raceReplicaOfExp);
-    sim::BroadcastReplay replay(specs, threaded);
-    env.attachSink(&replay);
-    if (rec)
-        env.attachSink(rec.get());
-    RunStats base;
-    base.valid = app.run(env, cfg).valid;
-    replay.flush();
-    for (int p = 0; p < nprocs; ++p) {
-        base.perProc.push_back(env.stats(p));
-        base.exec += env.stats(p);
-    }
-    base.elapsed = env.elapsed();
-    if (rec)
-        finalizeRecording(*rec, base);
-    for (std::size_t i = 0; i < exps.size(); ++i) {
-        const int ri = static_cast<int>(i);
-        RunStats r = base;
-        for (int p = 0; p < nprocs; ++p)
-            r.memPerProc.push_back(replay.replica(ri).procStats(p));
-        r.mem = replay.replica(ri).total();
-        if (raceReplicaOfExp[i] >= 0) {
-            r.raceChecked = true;
-            r.race =
-                replay.raceReplica(raceReplicaOfExp[i]).outcome();
-        }
-        out.push_back(std::move(r));
-    }
+    for (std::size_t i = 0; i < exps.size(); ++i)
+        out.push_back(measured(
+            base, &bc.replica(static_cast<int>(i)),
+            raceOf[i] >= 0 ? &bc.raceReplica(raceOf[i]) : nullptr));
     return out;
 }
 
 /** Characterize @p app on @p nprocs under every configuration in
- *  @p exps from ONE reference stream.
+ *  @p exps.
  *
  *  The PRAM reference stream of a given (app, P) does not depend on
- *  the memory system, so with broadcast replay enabled (the default)
- *  the application executes once and a BroadcastReplay feeds one
- *  MemSystem replica per experiment; with Replicas::Off each
- *  experiment re-executes serially in its own Env.  Statistics are
- *  bit-identical across all modes (tests/sim/replay_test.cc). */
+ *  the memory system, so under Replicas::Auto one stream feeds every
+ *  configuration through broadcast replay; under Replicas::Off (and
+ *  for a single configuration) each experiment gets its own run of
+ *  runExperiment.  Statistics are bit-identical across both modes
+ *  (tests/sim/replay_test.cc). */
 inline std::vector<RunStats>
 runCharacterizations(App& app, int nprocs,
                      const std::vector<MemExperiment>& exps,
                      const AppConfig& cfg, const SimOpts& simOpts = {})
 {
+    if (simOpts.replicas == Replicas::Auto && exps.size() > 1)
+        return broadcastCharacterizations(app, nprocs, exps, cfg,
+                                          simOpts, threadedReplicas());
     std::vector<RunStats> out;
-    const bool threaded =
-        simOpts.replicas == Replicas::Auto && threadedReplicas();
-    if (!simOpts.replay.empty()) {
-        // Replay from disk: the recorded stream feeds the broadcast
-        // replicas directly -- zero fiber execution, execution
-        // counters from the trace footer, statistics byte-identical
-        // to any live mode (broadcast == serial is proven by
-        // tests/sim/replay_test.cc; disk == live by
-        // tests/sim/tracestore_test.cc).
-        auto rd = openReplay(app, nprocs, cfg, simOpts);
-        std::vector<int> raceReplicaOfExp;
-        std::vector<sim::ReplicaSpec> specs = broadcastSpecs(
-            exps, nprocs, simOpts, rd->placement(), &raceReplicaOfExp);
-        sim::BroadcastReplay replay(specs, threaded);
-        std::string err;
-        if (!rd->replay(&replay, &err))
-            fatal(err);
-        replay.flush();
-        const RunStats base = statsFromProfile(rd->exec());
-        for (std::size_t i = 0; i < exps.size(); ++i) {
-            const int ri = static_cast<int>(i);
-            RunStats r = base;
-            for (int p = 0; p < nprocs; ++p)
-                r.memPerProc.push_back(replay.replica(ri).procStats(p));
-            r.mem = replay.replica(ri).total();
-            if (raceReplicaOfExp[i] >= 0) {
-                r.raceChecked = true;
-                r.race =
-                    replay.raceReplica(raceReplicaOfExp[i]).outcome();
-            }
-            out.push_back(std::move(r));
-        }
-        return out;
-    }
-    if (simOpts.replicas == Replicas::Off || exps.size() <= 1) {
-        auto rec = makeRecorder(app, nprocs, cfg, simOpts);
-        for (const MemExperiment& e : exps) {
-            rt::Env env({rt::Mode::Sim, nprocs, simOpts.quantum});
-            sim::MachineConfig mc;
-            mc.nprocs = nprocs;
-            mc.cache = e.cache;
-            mc.replacementHints = e.hints;
-            mc.protocol = e.protocol;
-            mc.interconnect = e.interconnect;
-            sim::MemSystem mem(mc, e.placed ? &env.heap() : nullptr);
-            mem.setCheckPeriod(simOpts.checkPeriod);
-            env.attachMemSystem(&mem);
-            std::unique_ptr<sim::RaceChecker> race;
-            if (simOpts.race != sim::RaceGranularity::Off) {
-                race = std::make_unique<sim::RaceChecker>(raceConfigFor(
-                    simOpts.race, nprocs, e.cache.lineSize));
-                env.attachSink(race.get());
-            }
-            if (rec)  // record rides the first serial execution
-                env.attachSink(rec.get());
-            RunStats r;
-            r.valid = app.run(env, cfg).valid;
-            for (int p = 0; p < nprocs; ++p) {
-                r.perProc.push_back(env.stats(p));
-                r.exec += env.stats(p);
-                r.memPerProc.push_back(mem.procStats(p));
-            }
-            r.mem = mem.total();
-            r.elapsed = env.elapsed();
-            if (rec) {
-                finalizeRecording(*rec, r);
-                rec.reset();
-            }
-            if (race) {
-                r.raceChecked = true;
-                r.race = race->outcome();
-            }
-            out.push_back(std::move(r));
-        }
-        return out;
-    }
-
-    return broadcastCharacterizations(app, nprocs, exps, cfg, simOpts,
-                                      threaded);
-}
-
-/** Run @p app under the full directory-coherent memory system
- *  (simOpts.protocol selects the protocol; default MESI). */
-inline RunStats
-runWithMemSystem(App& app, int nprocs, const sim::CacheConfig& cache,
-                 const AppConfig& cfg, const SimOpts& simOpts = {})
-{
-    if (!simOpts.replay.empty() || !simOpts.record.empty()) {
-        // One operating point of the general driver (identical
-        // statistics; tests/sim/replay_test.cc), which owns the
-        // record-once / replay-from-disk logic.
-        MemExperiment e;
-        e.cache = cache;
-        e.protocol = simOpts.protocol;
-        e.interconnect = simOpts.interconnect;
-        return runCharacterizations(app, nprocs, {e}, cfg,
-                                    simOpts)[0];
-    }
-    rt::Env env({rt::Mode::Sim, nprocs, simOpts.quantum});
-    sim::MachineConfig mc;
-    mc.nprocs = nprocs;
-    mc.cache = cache;
-    mc.protocol = simOpts.protocol;
-    mc.interconnect = simOpts.interconnect;
-    sim::MemSystem mem(mc, &env.heap());
-    mem.setCheckPeriod(simOpts.checkPeriod);
-    env.attachMemSystem(&mem);
-    std::unique_ptr<sim::RaceChecker> race;
-    if (simOpts.race != sim::RaceGranularity::Off) {
-        race = std::make_unique<sim::RaceChecker>(
-            raceConfigFor(simOpts.race, nprocs, cache.lineSize));
-        env.attachSink(race.get());
-    }
-    RunStats out;
-    out.valid = app.run(env, cfg).valid;
-    for (int p = 0; p < nprocs; ++p) {
-        out.perProc.push_back(env.stats(p));
-        out.exec += env.stats(p);
-        out.memPerProc.push_back(mem.procStats(p));
-    }
-    out.mem = mem.total();
-    out.elapsed = env.elapsed();
-    if (race) {
-        out.raceChecked = true;
-        out.race = race->outcome();
-    }
-    return out;
-}
-
-/** RefSink shim driving a CacheSweep from a replayed stream (the
- *  sweep is not itself a RefSink). */
-class SweepRefSink final : public sim::RefSink
-{
-  public:
-    explicit SweepRefSink(sim::CacheSweep& s) : sweep_(s) {}
-    void
-    access(const sim::AccessRec& r) override
-    {
-        sweep_.access(r.proc, r.addr, r.size, r.type);
-    }
-    void resetStats() override { sweep_.resetStats(); }
-
-  private:
-    sim::CacheSweep& sweep_;
-};
-
-/** Run @p app feeding the multi-configuration cache sweep; the caller
- *  owns the sweep so it can query arbitrary operating points. */
-inline RunStats
-runWithSweep(App& app, int nprocs, sim::CacheSweep& sweep,
-             const AppConfig& cfg, const SimOpts& simOpts = {})
-{
-    if (!simOpts.replay.empty()) {
-        auto rd = openReplay(app, nprocs, cfg, simOpts);
-        SweepRefSink sink(sweep);
-        std::string err;
-        if (!rd->replay(&sink, &err))
-            fatal(err);
-        return statsFromProfile(rd->exec());
-    }
-    rt::Env env({rt::Mode::Sim, nprocs, simOpts.quantum});
-    env.attachSweep(&sweep);
-    auto rec = makeRecorder(app, nprocs, cfg, simOpts);
-    if (rec)
-        env.attachSink(rec.get());
-    RunStats out;
-    out.valid = app.run(env, cfg).valid;
-    for (int p = 0; p < nprocs; ++p) {
-        out.perProc.push_back(env.stats(p));
-        out.exec += env.stats(p);
-    }
-    out.elapsed = env.elapsed();
-    if (rec)
-        finalizeRecording(*rec, out);
+    for (const MemExperiment& e : exps)
+        out.push_back(runExperiment(app, nprocs, e, cfg, simOpts));
     return out;
 }
 

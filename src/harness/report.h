@@ -104,7 +104,9 @@ class Options
                 kv_[k.substr(2)] = argv[i + 1];
                 i += 2;
             } else {
-                kv_[k.substr(2)] = "1";
+                // A string temporary, not operator=(const char*):
+                // GCC 12 at -O3 misreports that as -Wrestrict.
+                kv_[k.substr(2)] = std::string("1");
                 ++i;
             }
         }

@@ -1,12 +1,13 @@
 /**
  * @file
- * Working-set sweep driver shared by the Figure-3 benches and
- * splash2run's --sweep mode: run one application and produce the
+ * Working-set sweep driver shared by the Figure-3 and Table-2 benches
+ * and splash2run's --sweep mode: run one application and produce the
  * exact multi-configuration cache sweep (sim/sweep.h), the
- * reuse-distance analytical model (sim/reusedist.h), or both, under
- * every execution substrate the other drivers support -- live fiber
- * execution, trace replay from disk, and (for the model) loading a
- * recorded ".rdp" profile sidecar with no execution or replay at all.
+ * reuse-distance analytical model (sim/reusedist.h), or both.  The
+ * stream comes from the StreamSource every driver shares
+ * (harness/experiment.h: live execution, optionally recorded, or a
+ * trace replayed from disk); the model alone can also be loaded from
+ * a recorded ".rdp" profile sidecar with no stream at all.
  *
  * Sidecar life cycle mirrors the trace store's record-once rule: a
  * live or replayed model pass saves its profile next to the trace
@@ -26,50 +27,6 @@
 #include "sim/reusedist.h"
 
 namespace splash::harness {
-
-/** One replayed stream fanned out to several sinks in order (the
- *  trace reader takes a single sink). */
-class TeeRefSink final : public sim::RefSink
-{
-  public:
-    explicit TeeRefSink(std::vector<sim::RefSink*> sinks)
-        : sinks_(std::move(sinks))
-    {
-    }
-    void
-    access(const sim::AccessRec& r) override
-    {
-        for (sim::RefSink* s : sinks_)
-            s->access(r);
-    }
-    void
-    sync(const sim::SyncRec& r) override
-    {
-        for (sim::RefSink* s : sinks_)
-            s->sync(r);
-    }
-    void
-    place(const sim::PlaceRec& r) override
-    {
-        for (sim::RefSink* s : sinks_)
-            s->place(r);
-    }
-    void
-    resetStats() override
-    {
-        for (sim::RefSink* s : sinks_)
-            s->resetStats();
-    }
-    void
-    streamBarrier() override
-    {
-        for (sim::RefSink* s : sinks_)
-            s->streamBarrier();
-    }
-
-  private:
-    std::vector<sim::RefSink*> sinks_;
-};
 
 /** Results of one working-set sweep of one application. */
 struct WorkingSetRun
@@ -128,67 +85,34 @@ runWorkingSets(App& app, int nprocs, const sim::SweepConfig& sc,
         }
     }
     const bool profileLive = needModel && !out.haveModel;
-    if (needExact)
+    StreamSource src(app, nprocs, cfg, simOpts);
+    if (needExact) {
         out.exact = std::make_unique<sim::CacheSweep>(sc);
-
+        src.attach(out.exact.get());
+    }
     std::unique_ptr<sim::ReuseDistProfiler> prof;
     std::unique_ptr<sim::BroadcastReplay> rdcast;
-    if (!simOpts.replay.empty()) {
-        // Replay the recorded stream into every needed sink at once.
-        auto rd = openReplay(app, nprocs, cfg, simOpts);
-        std::unique_ptr<SweepRefSink> exactSink;
-        std::vector<sim::RefSink*> sinks;
-        if (needExact) {
-            exactSink = std::make_unique<SweepRefSink>(*out.exact);
-            sinks.push_back(exactSink.get());
-        }
-        if (profileLive) {
+    if (profileLive) {
+        if (simOpts.replicas == Replicas::Auto && threadedReplicas()) {
+            // The profiler is the broadcast engine's third replica
+            // kind: its consumer thread overlaps the exact sweep on
+            // the stream's thread.
+            sim::ReplicaSpec spec;
+            spec.machine.nprocs = sc.nprocs;
+            spec.machine.cache.lineSize = sc.lineSize;
+            spec.rdProfile = true;
+            rdcast = std::make_unique<sim::BroadcastReplay>(
+                std::vector<sim::ReplicaSpec>{spec}, true);
+            src.attach(rdcast.get());
+        } else {
             prof = std::make_unique<sim::ReuseDistProfiler>(
                 sc.nprocs, sc.lineSize);
-            sinks.push_back(prof.get());
+            src.attach(prof.get());
         }
-        TeeRefSink tee(std::move(sinks));
-        std::string err;
-        if (!rd->replay(&tee, &err))
-            fatal(err);
-        out.stats = statsFromProfile(rd->exec());
-    } else {
-        rt::Env env({rt::Mode::Sim, nprocs, simOpts.quantum});
-        if (needExact)
-            env.attachSweep(out.exact.get());
-        if (profileLive) {
-            if (simOpts.replicas == Replicas::Auto &&
-                threadedReplicas()) {
-                // The profiler is the broadcast engine's third
-                // replica kind: its consumer thread overlaps the
-                // exact sweep on the executing thread.
-                sim::ReplicaSpec spec;
-                spec.machine.nprocs = sc.nprocs;
-                spec.machine.cache.lineSize = sc.lineSize;
-                spec.rdProfile = true;
-                rdcast = std::make_unique<sim::BroadcastReplay>(
-                    std::vector<sim::ReplicaSpec>{spec}, true);
-                env.attachSink(rdcast.get());
-            } else {
-                prof = std::make_unique<sim::ReuseDistProfiler>(
-                    sc.nprocs, sc.lineSize);
-                env.attachSink(prof.get());
-            }
-        }
-        auto rec = makeRecorder(app, nprocs, cfg, simOpts);
-        if (rec)
-            env.attachSink(rec.get());
-        out.stats.valid = app.run(env, cfg).valid;
-        if (rdcast)
-            rdcast->flush();
-        for (int p = 0; p < nprocs; ++p) {
-            out.stats.perProc.push_back(env.stats(p));
-            out.stats.exec += env.stats(p);
-        }
-        out.stats.elapsed = env.elapsed();
-        if (rec)
-            finalizeRecording(*rec, out.stats);
     }
+    out.stats = src.run();
+    if (rdcast)
+        rdcast->flush();
 
     if (profileLive) {
         out.model =

@@ -672,8 +672,8 @@ main(int argc, char** argv)
                 e.hints = hints;
                 e.protocol = eng.sim.protocol;
                 e.interconnect = eng.sim.interconnect;
-                results[i] = runCharacterizations(*apps[i], procs, {e},
-                                                  cfg, eng.sim)[0];
+                results[i] =
+                    runExperiment(*apps[i], procs, e, cfg, eng.sim);
             } else {
                 results[i] = runPram(*apps[i], procs, cfg, eng.sim);
             }

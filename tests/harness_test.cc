@@ -2,7 +2,7 @@
 // several processor counts, with and without the memory system.
 #include <gtest/gtest.h>
 
-#include "harness/experiment.h"
+#include "harness/workingset.h"
 #include "harness/report.h"
 
 using namespace splash;
@@ -67,8 +67,7 @@ TEST(Harness, SweepAndMemSystemSeeSameAccessCounts)
     RunStats a = runWithMemSystem(*fft, 4, cache, cfg);
     sim::SweepConfig sc;
     sc.nprocs = 4;
-    sim::CacheSweep sweep(sc);
-    RunStats b = runWithSweep(*fft, 4, sweep, cfg);
+    RunStats b = runWorkingSets(*fft, 4, sc, cfg).stats;
     // Same deterministic program: identical shared-reference streams.
     EXPECT_EQ(a.exec.reads, b.exec.reads);
     EXPECT_EQ(a.exec.writes, b.exec.writes);

@@ -15,7 +15,7 @@
 #include <tuple>
 #include <vector>
 
-#include "harness/experiment.h"
+#include "harness/workingset.h"
 #include "sim/memsys.h"
 #include "sim/sweep.h"
 #include "tag_array_sweep.h"
@@ -387,8 +387,8 @@ TEST(SweepRegression, SweepReproducesCommittedFig3Fft)
     ASSERT_NE(app, nullptr);
     AppConfig cfg;  // default scale 1.0, default problem size
     SweepConfig sc; // default: 32 procs, 64 B lines
-    CacheSweep sweep(sc);
-    runWithSweep(*app, sc.nprocs, sweep, cfg);
+    const WorkingSetRun run = runWorkingSets(*app, sc.nprocs, sc, cfg);
+    const CacheSweep& sweep = *run.exact;
 
     for (const auto& [point, mr] : committed)
         EXPECT_NEAR(sweep.missRate(point.first, point.second), mr, 5e-7)

@@ -15,10 +15,11 @@
 #include <cstring>
 #include <fstream>
 #include <random>
+#include <sstream>
 #include <string>
 #include <vector>
 
-#include "harness/experiment.h"
+#include "harness/workingset.h"
 #include "rt/shared_heap.h"
 #include "sim/tracestore.h"
 
@@ -709,83 +710,197 @@ TEST(TraceStore, StoreIdentityAndMismatchDiagnostics)
 }
 
 // ---------------------------------------------------------------------
-// App-level: record -> replay equality for a real characterization.
+// App-level: every harness driver reports the same statistics live,
+// live while recording, and replayed from the recording.
 
-TEST(TraceStore, RecordThenReplayCharacterizationIsIdentical)
+void
+renderMem(std::ostringstream& o, const MemStats& m)
+{
+    o << m.reads << ' ' << m.writes;
+    for (std::uint64_t v : m.misses)
+        o << ' ' << v;
+    o << ' ' << m.upgrades << ' ' << m.invalidations << ' ' << m.updates
+      << ' ' << m.remoteSharedData << ' ' << m.remoteColdData << ' '
+      << m.remoteCapacityData << ' ' << m.remoteWriteback << ' '
+      << m.remoteOverhead << ' ' << m.localData << ' '
+      << m.trueSharedData << ' ' << m.busTransactions << ' '
+      << m.busAddrCycles << ' ' << m.busDataCycles << '\n';
+}
+
+/** Canonical text of everything a RunStats reports. */
+std::string
+render(const harness::RunStats& r)
+{
+    std::ostringstream o;
+    const ExecProfile e =
+        harness::execProfileFrom(r.perProc, r.elapsed, r.valid);
+    o << "valid " << e.valid << " elapsed " << e.elapsed << '\n';
+    for (const ExecProfile::Row& row : e.procs) {
+        for (std::uint64_t v : row)
+            o << v << ' ';
+        o << '\n';
+    }
+    if (!r.memPerProc.empty()) {
+        renderMem(o, r.mem);
+        for (const MemStats& m : r.memPerProc)
+            renderMem(o, m);
+    }
+    if (r.raceChecked)
+        o << raceSummary(r.race);
+    return o.str();
+}
+
+/** One harness driver run on one stream source configuration. */
+struct DriverCase
+{
+    const char* name;
+    std::string (*run)(harness::App&, int, const harness::AppConfig&,
+                       const harness::SimOpts&);
+};
+
+void
+PrintTo(const DriverCase& d, std::ostream* os)
+{
+    *os << d.name;
+}
+
+std::vector<harness::MemExperiment>
+twoExperiments()
+{
+    std::vector<harness::MemExperiment> exps(2);
+    exps[0].cache.lineSize = 32;
+    // exps[1] is the default machine.
+    return exps;
+}
+
+std::string
+characterizations(harness::App& app, int procs,
+                  const harness::AppConfig& cfg, harness::SimOpts so,
+                  harness::Replicas mode)
+{
+    so.replicas = mode;
+    std::string out;
+    for (const harness::RunStats& r : harness::runCharacterizations(
+             app, procs, twoExperiments(), cfg, so))
+        out += render(r);
+    return out;
+}
+
+const DriverCase kDrivers[] = {
+    {"Pram",
+     [](harness::App& app, int procs, const harness::AppConfig& cfg,
+        const harness::SimOpts& so) {
+         return render(harness::runPram(app, procs, cfg, so));
+     }},
+    {"SingleConfiguration",
+     [](harness::App& app, int procs, const harness::AppConfig& cfg,
+        const harness::SimOpts& so) {
+         return render(harness::runExperiment(
+             app, procs, twoExperiments()[0], cfg, so));
+     }},
+    {"CharacterizationsReplicasOff",
+     [](harness::App& app, int procs, const harness::AppConfig& cfg,
+        const harness::SimOpts& so) {
+         return characterizations(app, procs, cfg, so,
+                                  harness::Replicas::Off);
+     }},
+    {"CharacterizationsReplicasAuto",
+     [](harness::App& app, int procs, const harness::AppConfig& cfg,
+        const harness::SimOpts& so) {
+         return characterizations(app, procs, cfg, so,
+                                  harness::Replicas::Auto);
+     }},
+    {"WorkingSetsBoth",
+     [](harness::App& app, int procs, const harness::AppConfig& cfg,
+        const harness::SimOpts& opts) {
+         harness::SimOpts so = opts;
+         so.sweep = SweepMode::Both;
+         SweepConfig sc;
+         sc.nprocs = procs;
+         const harness::WorkingSetRun ws =
+             harness::runWorkingSets(app, procs, sc, cfg, so);
+         std::ostringstream o;
+         o << render(ws.stats) << std::hexfloat;
+         for (std::uint64_t size : sc.sizes)
+             for (int assoc : sc.assocs)
+                 o << ws.exact->missRate(size, assoc) << ' '
+                   << ws.model.missRate(size, assoc) << '\n';
+         for (const ReuseDistProfile::Row& row : ws.model.procs) {
+             o << row.accesses << ' ' << row.cold << ' ' << row.stale;
+             for (std::size_t i = 0; i < row.count.size(); ++i)
+                 o << ' ' << row.count[i] << '/' << row.sumDist[i];
+             o << '\n';
+         }
+         return o.str();
+     }},
+};
+
+class TraceStoreDriver : public ::testing::TestWithParam<DriverCase>
+{
+};
+
+TEST_P(TraceStoreDriver, RecordThenReplayCharacterizationIsIdentical)
 {
     using namespace splash::harness;
-    App* app = findApp("fft");
+    const DriverCase& d = GetParam();
+    // Barnes opens its measurement window after a warm-up step, so the
+    // replayed sinks must also apply the stream-ordered reset.
+    App* app = findApp("barnes");
     ASSERT_NE(app, nullptr);
     const int procs = 4;
     AppConfig cfg;
-    cfg.scale = 0.25;
+    cfg.scale = 0.1;
 
-    std::vector<MemExperiment> exps(2);
-    exps[0].cache.lineSize = 32;
-    // exps[1] is the default machine.
+    SimOpts live;
+    live.race = RaceGranularity::Word;
+    const std::string plain = d.run(*app, procs, cfg, live);
 
     const std::string dir = tempDir();
-    SimOpts live;
-    live.race = sim::RaceGranularity::Word;
-    live.record = dir;
-    auto recorded = runCharacterizations(*app, procs, exps, cfg, live);
+    SimOpts recording = live;
+    recording.record = dir;
+    EXPECT_EQ(d.run(*app, procs, cfg, recording), plain)
+        << "live with --record";
+    const TraceMeta meta = traceMetaFor(*app, procs, cfg, live);
+    const std::string trace = tracestore::pathFor(dir, meta);
 
     SimOpts replayed = live;
-    replayed.record.clear();
     replayed.replay = dir;
-    auto got = runCharacterizations(*app, procs, exps, cfg, replayed);
-
-    ASSERT_EQ(got.size(), recorded.size());
-    for (std::size_t i = 0; i < got.size(); ++i) {
-        EXPECT_EQ(got[i].valid, recorded[i].valid);
-        EXPECT_EQ(got[i].elapsed, recorded[i].elapsed);
-        EXPECT_EQ(got[i].exec.reads, recorded[i].exec.reads);
-        EXPECT_EQ(got[i].exec.writes, recorded[i].exec.writes);
-        EXPECT_EQ(got[i].exec.flops, recorded[i].exec.flops);
-        EXPECT_EQ(got[i].exec.barrierWait, recorded[i].exec.barrierWait);
-        ASSERT_EQ(got[i].perProc.size(), recorded[i].perProc.size());
-        for (std::size_t p = 0; p < got[i].perProc.size(); ++p) {
-            EXPECT_EQ(got[i].perProc[p].lockWait,
-                      recorded[i].perProc[p].lockWait);
-            EXPECT_EQ(got[i].perProc[p].startTime,
-                      recorded[i].perProc[p].startTime);
-            EXPECT_EQ(got[i].perProc[p].finishTime,
-                      recorded[i].perProc[p].finishTime);
-        }
-        EXPECT_EQ(got[i].mem.reads, recorded[i].mem.reads);
-        EXPECT_EQ(got[i].mem.writes, recorded[i].mem.writes);
-        for (int mt = 0; mt < sim::kNumMissTypes; ++mt)
-            EXPECT_EQ(got[i].mem.misses[mt], recorded[i].mem.misses[mt])
-                << "exp " << i << " miss type " << mt;
-        EXPECT_EQ(got[i].mem.upgrades, recorded[i].mem.upgrades);
-        EXPECT_EQ(got[i].mem.remoteSharedData,
-                  recorded[i].mem.remoteSharedData);
-        EXPECT_EQ(got[i].mem.remoteWriteback,
-                  recorded[i].mem.remoteWriteback);
-        EXPECT_EQ(got[i].mem.localData, recorded[i].mem.localData);
-        ASSERT_TRUE(got[i].raceChecked);
-        EXPECT_EQ(got[i].race.clean(), recorded[i].race.clean());
-        EXPECT_EQ(got[i].race.census.barrierArrivals,
-                  recorded[i].race.census.barrierArrivals);
-        EXPECT_EQ(got[i].race.census.lockAcquires,
-                  recorded[i].race.census.lockAcquires);
+    EXPECT_EQ(d.run(*app, procs, cfg, replayed), plain) << "--replay";
+    // A model sweep above read the profile sidecar the recording
+    // saved; without it, the replayed stream feeds the profiler.
+    if (std::remove(profilePathFor(dir, meta).c_str()) == 0) {
+        EXPECT_EQ(d.run(*app, procs, cfg, replayed), plain)
+            << "--replay without the profile sidecar";
     }
 
-    // Record-once: a second recording run reuses the stored trace
-    // (same results, no re-write).
-    auto again = runCharacterizations(*app, procs, exps, cfg, live);
-    EXPECT_EQ(again[0].mem.reads, recorded[0].mem.reads);
+    // Record once: a second recording run reuses the stored trace
+    // (same results, and the file is not republished: a new
+    // recording would rename a fresh file over it, and the extra
+    // link keeps the old inode from being reused for that file).
+    struct stat recorded{};
+    ASSERT_EQ(::stat(trace.c_str(), &recorded), 0) << trace;
+    ASSERT_EQ(::link(trace.c_str(), (trace + ".pin").c_str()), 0);
+    EXPECT_EQ(d.run(*app, procs, cfg, recording), plain)
+        << "second --record";
+    struct stat again{};
+    ASSERT_EQ(::stat(trace.c_str(), &again), 0) << trace;
+    EXPECT_EQ(again.st_ino, recorded.st_ino) << "trace recorded twice";
 
     // The compact target the suite bench pins globally, sanity-checked
     // here on one app: well under a byte per reference.
     std::string err;
-    auto rd = tracestore::openFor(
-        dir, traceMetaFor(*app, procs, cfg, live), &err);
+    auto rd = tracestore::openFor(dir, meta, &err);
     ASSERT_NE(rd, nullptr) << err;
     const double bitsPerRef =
         8.0 * double(rd->fileBytes()) / double(rd->records());
     EXPECT_LT(bitsPerRef, 16.0);
     EXPECT_GT(rd->records(), 100000u);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    AllDrivers, TraceStoreDriver, ::testing::ValuesIn(kDrivers),
+    [](const ::testing::TestParamInfo<DriverCase>& info) {
+        return std::string(info.param.name);
+    });
 
 } // namespace
