@@ -27,8 +27,11 @@
  * (--jobs); output bytes are identical in every mode.  --csv prints
  * the protocol-zoo rows as CSV (results/ablation.csv).
  *
- * Usage: ablation_protocol [--procs 16] [--scale 0.5] [--app <name>]
- *                          [--csv] [--jobs N] [--replicas MODE]
+ * Usage: ablation_protocol [--quick] [--procs 16] [--scale 0.5]
+ *                          [--app <name>] [--cachekb 1024] [--csv]
+ *                          [--jobs N] [--replicas off|auto]
+ *                          [--protocol msi|mesi|moesi|dragon] [--check N]
+ *                          [--quantum N] [--record DIR | --replay DIR]
  */
 #include <cstdio>
 #include <vector>
@@ -44,7 +47,7 @@ main(int argc, char** argv)
 {
     Options opt(argc, argv);
     EngineOpts eng;
-    if (!parseEngineOpts(opt, &eng))
+    if (!parseEngineOpts(opt, kCharacterizationFlags, &eng))
         return eng.listRequested ? 0 : 2;
     int procs = static_cast<int>(opt.getI("procs", 16));
     AppConfig cfg;
@@ -65,19 +68,15 @@ main(int argc, char** argv)
     // [3] 1 MB interleaved, [4..6] 1 MB placed under the three
     // protocols other than [2]'s -- the zoo reuses [2] for the base
     // protocol rather than replaying it twice.
-    std::vector<MemExperiment> exps(4);
+    std::vector<MemExperiment> exps(4, {.protocol = eng.protocol});
     exps[0].cache.size = small;
-    exps[0].protocol = eng.sim.protocol;
     exps[1].cache.size = small;
     exps[1].hints = false;
-    exps[1].protocol = eng.sim.protocol;
-    exps[2].protocol = eng.sim.protocol;
     exps[3].placed = false;
-    exps[3].protocol = eng.sim.protocol;
     std::vector<std::size_t> zooIdx(sim::kNumProtocols);
     for (int k = 0; k < sim::kNumProtocols; ++k) {
         auto proto = static_cast<sim::ProtocolKind>(k);
-        if (proto == eng.sim.protocol) {
+        if (proto == eng.protocol) {
             zooIdx[k] = 2;
             continue;
         }

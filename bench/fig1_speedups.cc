@@ -14,8 +14,9 @@
  * (--jobs overlaps applications); output bytes are identical for
  * every jobs value.
  *
- * Usage: fig1_speedups [--scale 1.0] [--maxprocs 64] [--app <name>]
- *                      [--csv] [--jobs N]
+ * Usage: fig1_speedups [--quick] [--scale 1.0] [--maxprocs 64]
+ *                      [--app <name>] [--csv] [--jobs N]
+ *                      [--quantum N] [--record DIR | --replay DIR]
  */
 #include <cstdio>
 #include <vector>
@@ -31,8 +32,8 @@ main(int argc, char** argv)
 {
     Options opt(argc, argv);
     EngineOpts eng;
-    if (!parseEngineOpts(opt, &eng))
-        return eng.listRequested ? 0 : 2;
+    if (!parseEngineOpts(opt, kPramFlags, &eng))
+        return 2;
     AppConfig cfg;
     cfg.scale = opt.getD("scale", opt.has("quick") ? 0.25 : 1.0);
     int maxp = static_cast<int>(

@@ -18,9 +18,11 @@
  * predictions, same schema), or both (each point reported from both
  * engines plus the absolute error -- the model-validation artifact).
  *
- * Usage: fig3_working_sets [--procs 32] [--scale 1.0] [--app <name>]
- *                          [--n N] [--sweep exact|model|both]
- *                          [--jobs N] [--csv]
+ * Usage: fig3_working_sets [--quick] [--procs 32] [--scale 1.0]
+ *                          [--app <name>] [--n N] [--line 64] [--csv]
+ *                          [--sweep exact|model|both] [--jobs N]
+ *                          [--replicas off|auto] [--quantum N]
+ *                          [--record DIR | --replay DIR]
  */
 #include <cstdio>
 #include <memory>
@@ -39,8 +41,8 @@ main(int argc, char** argv)
 {
     Options opt(argc, argv);
     EngineOpts eng;
-    if (!parseEngineOpts(opt, &eng))
-        return eng.listRequested ? 0 : 2;
+    if (!parseEngineOpts(opt, kWorkingSetFlags, &eng))
+        return 2;
     int procs = static_cast<int>(opt.getI("procs", 32));
     int line = static_cast<int>(opt.getI("line", 64));
     bool csv = opt.has("csv");

@@ -13,8 +13,10 @@
  * across host cores by the experiment runner (--jobs); output bytes
  * are identical for every jobs value.
  *
- * Usage: fig4_traffic [--scale 1.0] [--maxprocs 32] [--app <name>]
- *                     [--cachekb 1024] [--csv] [--jobs N]
+ * Usage: fig4_traffic [--quick] [--scale 1.0] [--maxprocs 32]
+ *                     [--app <name>] [--cachekb 1024] [--csv] [--jobs N]
+ *                     [--protocol msi|mesi|moesi|dragon] [--check N]
+ *                     [--quantum N] [--record DIR | --replay DIR]
  */
 #include <cstdio>
 #include <vector>
@@ -30,7 +32,7 @@ main(int argc, char** argv)
 {
     Options opt(argc, argv);
     EngineOpts eng;
-    if (!parseEngineOpts(opt, &eng))
+    if (!parseEngineOpts(opt, kExperimentFlags, &eng))
         return eng.listRequested ? 0 : 2;
     AppConfig cfg;
     cfg.scale = opt.getD("scale", opt.has("quick") ? 0.25 : 1.0);
@@ -42,6 +44,7 @@ main(int argc, char** argv)
     cache.size = std::uint64_t(opt.getI("cachekb", 1024)) << 10;
     if (opt.reportUnknown())
         return 2;
+    const MemExperiment machine{.cache = cache, .protocol = eng.protocol};
 
     std::vector<int> procs;
     for (int p = 1; p <= maxp; p *= 2)
@@ -59,8 +62,8 @@ main(int argc, char** argv)
             runner.add(apps[i]->name() + "/P" +
                            std::to_string(procs[j]),
                        appCostHint(*apps[i]) * procs[j], [&, i, j] {
-                           results[i][j] = runWithMemSystem(
-                               *apps[i], procs[j], cache, cfg,
+                           results[i][j] = runExperiment(
+                               *apps[i], procs[j], machine, cfg,
                                eng.sim);
                        });
         }

@@ -13,8 +13,11 @@
  * the experiment runner (--jobs 2 overlaps them); output bytes are
  * identical in every mode.
  *
- * Usage: fig5_ocean_scaling [--procs 32] [--n1 128] [--n2 256]
- *                           [--csv] [--jobs N]
+ * Usage: fig5_ocean_scaling [--quick] [--procs 32] [--n1 128]
+ *                           [--n2 256] [--csv] [--jobs N]
+ *                           [--protocol msi|mesi|moesi|dragon]
+ *                           [--check N] [--quantum N]
+ *                           [--record DIR | --replay DIR]
  */
 #include <cstdio>
 #include <vector>
@@ -30,7 +33,7 @@ main(int argc, char** argv)
 {
     Options opt(argc, argv);
     EngineOpts eng;
-    if (!parseEngineOpts(opt, &eng))
+    if (!parseEngineOpts(opt, kExperimentFlags, &eng))
         return eng.listRequested ? 0 : 2;
     int procs = static_cast<int>(
         opt.getI("procs", opt.has("quick") ? 8 : 32));
@@ -41,7 +44,7 @@ main(int argc, char** argv)
         return 2;
 
     App* ocean = findApp("Ocean");
-    sim::CacheConfig cache;  // 1 MB 4-way 64 B
+    const MemExperiment machine{.protocol = eng.protocol};  // 1 MB 4-way 64 B
 
     const std::vector<long> grids = {n1, n2};
     std::vector<RunStats> results(grids.size());
@@ -51,9 +54,8 @@ main(int argc, char** argv)
                    double(grids[i]) * double(grids[i]), [&, i] {
                        AppConfig cfg;
                        cfg.n = grids[i];
-                       results[i] = runWithMemSystem(*ocean, procs,
-                                                     cache, cfg,
-                                                     eng.sim);
+                       results[i] = runExperiment(*ocean, procs,
+                                                  machine, cfg, eng.sim);
                    });
     }
     runner.run();

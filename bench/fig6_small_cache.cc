@@ -17,8 +17,11 @@
  * the small cache only and its bytes are unchanged from the serial
  * bench.
  *
- * Usage: fig6_small_cache [--scale 1.0] [--maxprocs 32] [--cachekb 8]
- *                         [--csv] [--jobs N] [--replicas MODE]
+ * Usage: fig6_small_cache [--quick] [--scale 1.0] [--maxprocs 32]
+ *                         [--cachekb 8] [--csv] [--jobs N]
+ *                         [--replicas off|auto]
+ *                         [--protocol msi|mesi|moesi|dragon] [--check N]
+ *                         [--quantum N] [--record DIR | --replay DIR]
  */
 #include <cstdio>
 #include <vector>
@@ -34,7 +37,7 @@ main(int argc, char** argv)
 {
     Options opt(argc, argv);
     EngineOpts eng;
-    if (!parseEngineOpts(opt, &eng))
+    if (!parseEngineOpts(opt, kCharacterizationFlags, &eng))
         return eng.listRequested ? 0 : 2;
     AppConfig cfg;
     cfg.scale = opt.getD("scale", opt.has("quick") ? 0.25 : 1.0);
@@ -65,9 +68,8 @@ main(int argc, char** argv)
             runner.add(app->name() + "/P" + std::to_string(procs[j]),
                        appCostHint(*app) * procs[j], [&, app, i, j] {
                            std::vector<MemExperiment> exps;
-                           MemExperiment e;
-                           e.protocol = eng.sim.protocol;
-                           e.cache = small;
+                           MemExperiment e{.cache = small,
+                                           .protocol = eng.protocol};
                            exps.push_back(e);
                            if (csv) {
                                e.cache = large;

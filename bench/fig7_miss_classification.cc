@@ -16,9 +16,12 @@
  * applications run concurrently across host cores (--jobs).  Output
  * bytes are identical in every mode.
  *
- * Usage: fig7_miss_classification [--procs 32] [--scale 1.0]
+ * Usage: fig7_miss_classification [--quick] [--procs 32] [--scale 1.0]
  *                                 [--app <name>] [--csv]
- *                                 [--jobs N] [--replicas MODE]
+ *                                 [--jobs N] [--replicas off|auto]
+ *                                 [--protocol msi|mesi|moesi|dragon]
+ *                                 [--check N] [--quantum N]
+ *                                 [--record DIR | --replay DIR]
  */
 #include <cstdio>
 #include <vector>
@@ -34,7 +37,7 @@ main(int argc, char** argv)
 {
     Options opt(argc, argv);
     EngineOpts eng;
-    if (!parseEngineOpts(opt, &eng))
+    if (!parseEngineOpts(opt, kCharacterizationFlags, &eng))
         return eng.listRequested ? 0 : 2;
     int procs = static_cast<int>(
         opt.getI("procs", opt.has("quick") ? 8 : 32));
@@ -57,8 +60,7 @@ main(int argc, char** argv)
         runner.add(apps[i]->name(), appCostHint(*apps[i]), [&, i] {
             std::vector<MemExperiment> exps;
             for (int line : lines) {
-                MemExperiment e;
-                e.protocol = eng.sim.protocol;
+                MemExperiment e{.protocol = eng.protocol};
                 e.cache.lineSize = line;
                 exps.push_back(e);
             }

@@ -28,7 +28,12 @@
  *
  * Usage: interconnect_traffic [--procs 16] [--scale 0.5] [--quick]
  *                             [--app <name>] [--csv] [--jobs N]
- *                             [--replicas MODE]
+ *                             [--replicas off|auto] [--check N]
+ *                             [--quantum N]
+ *                             [--record DIR | --replay DIR]
+ *
+ * The bench sets every replica's protocol and interconnect itself, so
+ * --protocol and --interconnect are unknown flags here.
  */
 #include <cstdio>
 #include <vector>
@@ -44,8 +49,8 @@ main(int argc, char** argv)
 {
     Options opt(argc, argv);
     EngineOpts eng;
-    if (!parseEngineOpts(opt, &eng))
-        return eng.listRequested ? 0 : 2;
+    if (!parseEngineOpts(opt, kCharacterizationFlags & ~kFlagProtocol, &eng))
+        return 2;
     int procs = static_cast<int>(opt.getI("procs", 16));
     AppConfig cfg;
     cfg.scale = opt.getD("scale", opt.has("quick") ? 0.25 : 0.5);

@@ -14,8 +14,9 @@
  * Engine: each application is one runner job (--jobs overlaps
  * applications); output bytes are identical for every jobs value.
  *
- * Usage: table1_characterization [--procs 32] [--scale 1.0]
- *                                [--app <name>] [--jobs N]
+ * Usage: table1_characterization [--quick] [--procs 32] [--scale 1.0]
+ *                                [--app <name>] [--jobs N] [--quantum N]
+ *                                [--record DIR | --replay DIR]
  */
 #include <cstdio>
 #include <vector>
@@ -31,8 +32,8 @@ main(int argc, char** argv)
 {
     Options opt(argc, argv);
     EngineOpts eng;
-    if (!parseEngineOpts(opt, &eng))
-        return eng.listRequested ? 0 : 2;
+    if (!parseEngineOpts(opt, kPramFlags, &eng))
+        return 2;
     int procs = static_cast<int>(opt.getI("procs", 32));
     AppConfig cfg;
     cfg.scale = opt.getD("scale", opt.has("quick") ? 0.25 : 1.0);

@@ -17,7 +17,8 @@
  * at scale 0.25.
  *
  * Usage: table2_working_sets [--quick] [--procs 32] [--scale 1.0]
- *                            [--jobs N]
+ *                            [--jobs N] [--quantum N]
+ *                            [--record DIR | --replay DIR]
  */
 #include <cstdio>
 #include <string>
@@ -46,9 +47,8 @@ profileAt(App& app, int procs, double scale, const SimOpts& simOpts)
     sc.assocs = {4};  // the knees are read off the 4-way curve only
     AppConfig cfg;
     cfg.scale = scale;
-    SimOpts exact = simOpts;
-    exact.sweep = sim::SweepMode::Exact;
-    const WorkingSetRun run = runWorkingSets(app, procs, sc, cfg, exact);
+    // Table 2 does not declare --sweep: simOpts.sweep stays Exact.
+    const WorkingSetRun run = runWorkingSets(app, procs, sc, cfg, simOpts);
     Profile p;
     p.sizes = sc.sizes;
     for (auto s : sc.sizes)
@@ -111,8 +111,8 @@ main(int argc, char** argv)
 {
     Options opt(argc, argv);
     EngineOpts eng;
-    if (!parseEngineOpts(opt, &eng))
-        return eng.listRequested ? 0 : 2;
+    if (!parseEngineOpts(opt, kPramFlags, &eng))
+        return 2;
     int procs = static_cast<int>(
         opt.getI("procs", opt.has("quick") ? 8 : 32));
     double base = opt.getD("scale", opt.has("quick") ? 0.25 : 1.0);

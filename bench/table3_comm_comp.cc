@@ -14,7 +14,9 @@
  * independent runner job (--jobs); output bytes are identical for
  * every jobs value.
  *
- * Usage: table3_comm_comp [--procs 8] [--scale 1.0] [--jobs N]
+ * Usage: table3_comm_comp [--quick] [--procs 8] [--scale 1.0] [--jobs N]
+ *                         [--protocol msi|mesi|moesi|dragon] [--check N]
+ *                         [--quantum N] [--record DIR | --replay DIR]
  */
 #include <cstdio>
 #include <string>
@@ -36,12 +38,13 @@ struct Ratio
 };
 
 Ratio
-ratioAt(App& app, int procs, double scale, const SimOpts& simOpts)
+ratioAt(App& app, int procs, double scale, const EngineOpts& eng)
 {
-    sim::CacheConfig cache;  // 1 MB: capacity effects minimized
     AppConfig cfg;
     cfg.scale = scale;
-    RunStats r = runWithMemSystem(app, procs, cache, cfg, simOpts);
+    // The default 1 MB caches: capacity effects minimized.
+    RunStats r = runExperiment(app, procs, {.protocol = eng.protocol},
+                               cfg, eng.sim);
     double den = trafficDenominator(app, r.exec);
     Ratio out;
     if (den > 0) {
@@ -88,7 +91,7 @@ main(int argc, char** argv)
 {
     Options opt(argc, argv);
     EngineOpts eng;
-    if (!parseEngineOpts(opt, &eng))
+    if (!parseEngineOpts(opt, kExperimentFlags, &eng))
         return eng.listRequested ? 0 : 2;
     int procs = static_cast<int>(opt.getI("procs", 8));
     double base = opt.getD("scale", opt.has("quick") ? 0.25 : 1.0);
@@ -121,7 +124,7 @@ main(int argc, char** argv)
                        appCostHint(*apps[i]) * pt.scale * pt.procs,
                        [&, i, v, pt] {
                            ratios[i][v] = ratioAt(*apps[i], pt.procs,
-                                                  pt.scale, eng.sim);
+                                                  pt.scale, eng);
                        });
         }
     }

@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Time the full figure/table suite through the characterization
-engine: serial oracle (--jobs 1 --replicas off, one dedicated
-execution per configuration) versus the parallel runner + broadcast
-replay (--jobs N --replicas auto), verifying byte-identical output,
-and write BENCH_suite.json.
+engine: serial oracle (--jobs 1, plus --replicas off on the targets
+that broadcast: one dedicated execution per configuration) versus the
+parallel runner + broadcast replay (--jobs N --replicas auto),
+verifying byte-identical output, and write BENCH_suite.json.
 
 This is the tentpole acceptance measurement: on a multi-core host the
 parallel suite should be >= 3x faster; on any host the broadcast still
@@ -33,20 +33,24 @@ import tempfile
 import benchlib
 from bench_trace import trace_stats
 
-# (target, extra args): every figure/table bench in the suite.
+# (target, serial-oracle args): every figure/table bench in the suite.
+# --replicas off goes only to the targets that declare it (the
+# broadcast ones); the others have no broadcast to turn off and reject
+# the flag.
+OFF = ["--jobs", "1", "--replicas", "off"]
 TARGETS = [
-    ("fig1_speedups", []),
-    ("fig2_synchronization", []),
-    ("fig3_working_sets", []),
-    ("fig4_traffic", []),
-    ("fig5_ocean_scaling", []),
-    ("fig6_small_cache", []),
-    ("fig7_miss_classification", []),
-    ("table1_characterization", []),
-    ("table2_working_sets", []),
-    ("table3_comm_comp", []),
-    ("ablation_protocol", []),
-    ("interconnect_traffic", []),
+    ("fig1_speedups", ["--jobs", "1"]),
+    ("fig2_synchronization", ["--jobs", "1"]),
+    ("fig3_working_sets", OFF),
+    ("fig4_traffic", ["--jobs", "1"]),
+    ("fig5_ocean_scaling", ["--jobs", "1"]),
+    ("fig6_small_cache", OFF),
+    ("fig7_miss_classification", OFF),
+    ("table1_characterization", ["--jobs", "1"]),
+    ("table2_working_sets", ["--jobs", "1"]),
+    ("table3_comm_comp", ["--jobs", "1"]),
+    ("ablation_protocol", OFF),
+    ("interconnect_traffic", OFF),
 ]
 
 
@@ -76,19 +80,18 @@ def main():
     serial_total = 0.0
     parallel_total = 0.0
     mismatches = []
-    for target, extra in TARGETS:
+    for target, serial in TARGETS:
         if only and target not in only:
             continue
         exe = os.path.join(args.build, "bench", target)
-        base = [exe] + extra + scale_args
+        base = [exe] + scale_args
         with tempfile.TemporaryDirectory() as td:
             s_out = os.path.join(td, "serial.txt")
             p_out = os.path.join(td, "parallel.txt")
             r_out = os.path.join(td, "replay.txt")
             store = os.path.join(td, "store")
-            serial_s = benchlib.time_cmd(
-                base + ["--jobs", "1", "--replicas", "off"],
-                args.reps, capture_to=s_out)
+            serial_s = benchlib.time_cmd(base + serial, args.reps,
+                                         capture_to=s_out)
             parallel_s = benchlib.time_cmd(
                 base + ["--jobs", str(args.jobs)],
                 args.reps, capture_to=p_out)
@@ -152,7 +155,8 @@ def main():
     report = {
         "description": "Full figure/table suite through the parallel "
                        "experiment runner + broadcast replay vs the "
-                       "serial oracle (--jobs 1 --replicas off), plus "
+                       "serial oracle (--jobs 1, --replicas off where "
+                       "a target broadcasts), plus "
                        "record-once trace store record/replay timings "
                        "and trace compactness; outputs byte-compared",
         "provenance": benchlib.provenance(args.build),

@@ -1,23 +1,33 @@
 /**
  * @file
- * Engine-related command-line flags shared by every characterization
- * bench and by splash2run:
+ * Engine-related command-line flags of the characterization benches
+ * and splash2run.  Each binary declares the set its drivers read
+ * (the kFlag* bits below); parseEngineOpts looks up only those, so any
+ * other engine flag reaches Options::reportUnknown() and the binary
+ * exits 2 with "unknown flag --X" instead of running a setup it
+ * cannot honour.
  *
  *   --jobs N          host threads for independent experiments
  *                     (N >= 1; default 1 = serial)
+ *   --quantum N       instrumentation events per scheduling slice
+ *                     (default 250)
+ *   --record DIR      record each executed (app, P) reference stream
+ *                     into trace store DIR (created if missing); an
+ *                     already-recorded identity is skipped
+ *   --replay DIR      replay reference streams from trace store DIR
+ *                     (or a single .s2t file) instead of executing;
+ *                     mutually exclusive with --record
+ *   --sweep MODE      working-set sweep engine: exact | model | both
+ *                     (default exact).  model predicts the Figure-3
+ *                     curves from a reuse-distance profile instead of
+ *                     simulating every cache configuration; both runs
+ *                     the two and reports model-vs-exact error
  *   --replicas MODE   how multi-configuration runs share a stream:
  *                     off | auto (default auto).  auto broadcasts
  *                     one stream to every configuration, on consumer
  *                     threads on a multi-core host and inline on a
  *                     single core; off gives each configuration its
  *                     own run of the single-configuration driver
- *   --quantum N       instrumentation events per scheduling slice
- *                     (default 250)
- *   --sweep MODE      working-set sweep engine: exact | model | both
- *                     (default exact).  model predicts the Figure-3
- *                     curves from a reuse-distance profile instead of
- *                     simulating every cache configuration; both runs
- *                     the two and reports model-vs-exact error
  *   --check N         coherence invariant checker sampling period: a
  *                     full directory/cache cross-validation every N
  *                     slow-path transactions (0 = off, the default)
@@ -33,31 +43,31 @@
  *                     reference stream: off | word | line (default
  *                     off).  Observation only: characterization
  *                     output is byte-identical for any value.
- *   --record DIR      record each executed (app, P) reference stream
- *                     into trace store DIR (created if missing); an
- *                     already-recorded identity is skipped
- *   --replay DIR      replay reference streams from trace store DIR
- *                     (or a single .s2t file) instead of executing;
- *                     mutually exclusive with --record
+ *
+ * Every bench reads --jobs, --quantum, --record and --replay (the
+ * working-set sweep adds --sweep and --replicas, the memory-system
+ * benches --check and --protocol, the broadcast benches --replicas);
+ * --interconnect and --race, whose results only splash2run reports,
+ * are splash2run's alone.
  *
  * --record and --replay act in one place: the StreamSource every
  * driver in harness/experiment.h and harness/workingset.h gets its
  * reference stream from, so a live, recording or replayed run takes
  * the same path through every driver and every --replicas mode.
  *
- * --protocol and --interconnect select the machine being measured and
- * --quantum selects the interleaving (where the scheduler switches
- * processors), so those three change results by design: radix at P=8,
- * for one, reports different traffic bytes per instruction at
- * --quantum 7 than at 250, which is why a recorded trace pins its
- * quantum.  Every other flag changes wall clock only, or adds
- * observation; results and output bytes are identical for any
- * combination (--jobs 1 --replicas off is the serial differential
- * oracle).  Invalid values are rejected with an error rather than
- * silently falling back, contradictory flag combinations are rejected
- * up front with one uniform message shape ("conflicting flags: ...")
- * via checkModeConflicts(), and a flag no reader consumed is rejected
- * by Options::reportUnknown().
+ * --protocol and --interconnect select the machine being measured,
+ * which reaches a driver only as a MemExperiment, and --quantum
+ * selects the interleaving (where the scheduler switches processors),
+ * so those three change results by design: radix at P=8, for one,
+ * reports different traffic bytes per instruction at --quantum 7 than
+ * at 250, which is why a recorded trace pins its quantum.  Every
+ * other flag changes wall clock only, or adds observation; results
+ * and output bytes are identical for any combination (--jobs 1
+ * --replicas off is the serial differential oracle).  Invalid values
+ * are rejected with an error rather than silently falling back, and
+ * contradictory flag combinations are rejected up front with one
+ * uniform message shape ("conflicting flags: ...") via
+ * checkModeConflicts().
  */
 #ifndef SPLASH2_HARNESS_CLI_H
 #define SPLASH2_HARNESS_CLI_H
@@ -74,10 +84,38 @@
 
 namespace splash::harness {
 
+/** One bit per engine flag a binary can declare; --record and
+ *  --replay share kFlagStore, the two ends of the trace store. */
+constexpr unsigned kFlagJobs = 1u << 0;
+constexpr unsigned kFlagQuantum = 1u << 1;
+constexpr unsigned kFlagStore = 1u << 2;
+constexpr unsigned kFlagSweep = 1u << 3;
+constexpr unsigned kFlagReplicas = 1u << 4;
+constexpr unsigned kFlagCheck = 1u << 5;
+constexpr unsigned kFlagProtocol = 1u << 6;
+constexpr unsigned kFlagInterconnect = 1u << 7;
+constexpr unsigned kFlagRace = 1u << 8;
+
+/** The engine flags each driver reads.  runPram (Figures 1-2, Table
+ *  1) and the exact-only sweep of Table 2 read the stream flags; the
+ *  Figure-3 sweep adds its engine choice and the profiler's replica
+ *  shape; runExperiment (Figures 4-5, Table 3) adds the checker and
+ *  the protocol; runCharacterizations (Figures 6-7, the ablation)
+ *  adds --replicas to those.  splash2run runs every driver. */
+constexpr unsigned kPramFlags = kFlagJobs | kFlagQuantum | kFlagStore;
+constexpr unsigned kWorkingSetFlags = kPramFlags | kFlagSweep | kFlagReplicas;
+constexpr unsigned kExperimentFlags = kPramFlags | kFlagCheck | kFlagProtocol;
+constexpr unsigned kCharacterizationFlags = kExperimentFlags | kFlagReplicas;
+constexpr unsigned kAllEngineFlags = (kFlagRace << 1) - 1;
+
 struct EngineOpts
 {
     int jobs = 1;
     SimOpts sim;
+    /** The simulated machine (--protocol, --interconnect); a bench
+     *  copies them into its MemExperiments. */
+    sim::ProtocolKind protocol = sim::ProtocolKind::MESI;
+    sim::Interconnect interconnect = sim::Interconnect::Directory;
     /** True when parseEngineOpts handled an informational request
      *  (--protocol list) and printed it: the caller should exit 0
      *  instead of treating the false return as a usage error. */
@@ -86,10 +124,6 @@ struct EngineOpts
      *  from the memory-system characterization to the working-set
      *  sweep on it; the sweep benches always sweep). */
     bool sweepRequested = false;
-    /** True when --interconnect was given explicitly (used to reject
-     *  contradictory combinations only when the user actually asked
-     *  for the non-default organization). */
-    bool interconnectRequested = false;
 };
 
 /** Print the one uniform diagnostic shape for a contradictory flag
@@ -106,77 +140,85 @@ conflictingFlags(const std::string& a, const std::string& b,
     return false;
 }
 
-/** Parse the shared engine flags; prints to stderr and returns false
- *  on an unrecognized value. */
+/** Parse the engine flags in @p flags (kFlag* bits); the others
+ *  are not looked up, keep their defaults, and are left to
+ *  Options::reportUnknown().  Prints to stderr and returns false on an
+ *  unrecognized value. */
 inline bool
-parseEngineOpts(const Options& opt, EngineOpts* out)
+parseEngineOpts(const Options& opt, unsigned flags, EngineOpts* out)
 {
-    long jobs = opt.getI("jobs", 1);
+    const auto getI = [&](unsigned f, const char* k, long def) {
+        return (flags & f) != 0 ? opt.getI(k, def) : def;
+    };
+    const auto getS = [&](unsigned f, const char* k, const char* def) {
+        return (flags & f) != 0 ? opt.getS(k, def) : std::string(def);
+    };
+    long jobs = getI(kFlagJobs, "jobs", 1);
     if (jobs < 1) {
         std::fprintf(stderr, "--jobs must be >= 1 (got %ld)\n", jobs);
         return false;
     }
     out->jobs = static_cast<int>(jobs);
-    long quantum = opt.getI("quantum", 250);
+    long quantum = getI(kFlagQuantum, "quantum", 250);
     if (quantum < 1) {
         std::fprintf(stderr, "--quantum must be >= 1 (got %ld)\n",
                      quantum);
         return false;
     }
     out->sim.quantum = static_cast<std::uint64_t>(quantum);
-    std::string sweepMode = opt.getS("sweep", "exact");
-    out->sweepRequested = opt.has("sweep");
+    std::string sweepMode = getS(kFlagSweep, "sweep", "exact");
+    out->sweepRequested = (flags & kFlagSweep) != 0 && opt.has("sweep");
     if (!sim::parseSweepMode(sweepMode, &out->sim.sweep)) {
         std::fprintf(stderr,
                      "unknown --sweep '%s' (exact, model, or both)\n",
                      sweepMode.c_str());
         return false;
     }
-    long check = opt.getI("check", 0);
+    long check = getI(kFlagCheck, "check", 0);
     if (check < 0) {
         std::fprintf(stderr,
                      "--check must be >= 0 (got %ld; 0 = off)\n", check);
         return false;
     }
     out->sim.checkPeriod = static_cast<std::uint64_t>(check);
-    std::string replicas = opt.getS("replicas", "auto");
+    std::string replicas = getS(kFlagReplicas, "replicas", "auto");
     if (!parseReplicas(replicas, &out->sim.replicas)) {
         std::fprintf(stderr,
                      "unknown --replicas '%s' (off or auto)\n",
                      replicas.c_str());
         return false;
     }
-    std::string protoName = opt.getS("protocol", "mesi");
+    std::string protoName = getS(kFlagProtocol, "protocol", "mesi");
     if (protoName == "list") {
         std::fputs(sim::protocolZoo().c_str(), stdout);
         out->listRequested = true;
         return false;
     }
-    if (!sim::parseProtocol(protoName, &out->sim.protocol)) {
+    if (!sim::parseProtocol(protoName, &out->protocol)) {
         std::fprintf(stderr,
                      "unknown --protocol '%s' (msi, mesi, moesi, "
                      "dragon, or list)\n",
                      protoName.c_str());
         return false;
     }
-    std::string icName = opt.getS("interconnect", "directory");
-    out->interconnectRequested = opt.has("interconnect");
-    if (!sim::parseInterconnect(icName, &out->sim.interconnect)) {
+    std::string icName =
+        getS(kFlagInterconnect, "interconnect", "directory");
+    if (!sim::parseInterconnect(icName, &out->interconnect)) {
         std::fprintf(stderr,
                      "unknown --interconnect '%s' (directory or "
                      "bus)\n",
                      icName.c_str());
         return false;
     }
-    std::string race = opt.getS("race", "off");
+    std::string race = getS(kFlagRace, "race", "off");
     if (!sim::parseRaceGranularity(race, &out->sim.race)) {
         std::fprintf(stderr,
                      "unknown --race '%s' (off, word, or line)\n",
                      race.c_str());
         return false;
     }
-    out->sim.record = opt.getS("record", "");
-    out->sim.replay = opt.getS("replay", "");
+    out->sim.record = getS(kFlagStore, "record", "");
+    out->sim.replay = getS(kFlagStore, "replay", "");
     if (!out->sim.record.empty() && !out->sim.replay.empty())
         return conflictingFlags("--record", "--replay",
                                 "a run either writes the trace store "
@@ -231,7 +273,7 @@ checkModeConflicts(const Options& opt, const EngineOpts& eng)
     const bool record = !eng.sim.record.empty();
     const bool replay = !eng.sim.replay.empty();
     const bool race = eng.sim.race != sim::RaceGranularity::Off;
-    const bool bus = eng.sim.interconnect == sim::Interconnect::Bus;
+    const bool bus = eng.interconnect == sim::Interconnect::Bus;
 
     if (inject && raceInject)
         return conflictingFlags("--inject", "--race-inject",
@@ -256,7 +298,7 @@ checkModeConflicts(const Options& opt, const EngineOpts& eng)
                                     "the harness drives its own "
                                     "detector configuration");
     }
-    if (eng.interconnectRequested && bus && eng.sweepRequested)
+    if (bus && eng.sweepRequested)
         return conflictingFlags("--interconnect bus", "--sweep",
                                 "the working-set sweep models cache "
                                 "capacity only and has no "

@@ -73,20 +73,13 @@ threadedReplicas()
 }
 
 /** Simulation-substrate knobs shared by the drivers below; the
- *  quantum default matches EnvConfig.  `protocol` and `interconnect`
- *  select the machine being measured and `quantum` the interleaving,
- *  so those three change results; the others change simulation speed
- *  or add observation only. */
+ *  quantum default matches EnvConfig.  `quantum` selects the
+ *  interleaving, so it changes results; the others change simulation
+ *  speed or add observation only.  The machine being measured is not
+ *  here: it reaches a driver only as a MemExperiment. */
 struct SimOpts
 {
     std::uint64_t quantum = 250;
-    /** Coherence protocol for memory-system runs (--protocol). */
-    sim::ProtocolKind protocol = sim::ProtocolKind::MESI;
-    /** Interconnect organization for memory-system runs
-     *  (--interconnect): the paper's point-to-point directory machine
-     *  or a snoopy broadcast bus (sim/bus.h).  Like `protocol`, this
-     *  selects the machine being measured. */
-    sim::Interconnect interconnect = sim::Interconnect::Directory;
     /** Working-set sweep engine (--sweep): the exact simulation of
      *  every operating point, the reuse-distance analytical model, or
      *  both side by side (sim/reusedist.h). */
@@ -431,7 +424,7 @@ runPram(App& app, int nprocs, const AppConfig& cfg,
  *  characterization. */
 struct MemExperiment
 {
-    sim::CacheConfig cache;
+    sim::CacheConfig cache{};  ///< default: 1 MB 4-way 64 B lines
     bool hints = true;   ///< replacement hints (protocol ablation)
     bool placed = true;  ///< placement-aware homes vs pure interleave
     /** Coherence protocol of this replica; benches forward the
@@ -476,19 +469,6 @@ runExperiment(App& app, int nprocs, const MemExperiment& e,
         src.attach(race.get());
     }
     return measured(src.run(), &mem, race.get());
-}
-
-/** Run @p app under the full directory-coherent memory system
- *  (simOpts.protocol selects the protocol; default MESI). */
-inline RunStats
-runWithMemSystem(App& app, int nprocs, const sim::CacheConfig& cache,
-                 const AppConfig& cfg, const SimOpts& simOpts = {})
-{
-    return runExperiment(app, nprocs,
-                         {.cache = cache,
-                          .protocol = simOpts.protocol,
-                          .interconnect = simOpts.interconnect},
-                         cfg, simOpts);
 }
 
 /** Broadcast replica set for @p exps: one MemSystem replica per

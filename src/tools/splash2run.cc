@@ -75,30 +75,29 @@ using namespace splash::harness;
 
 namespace {
 
+/** Print the characterization @p r of @p app on @p machine (null for
+ *  a PRAM run) at interleaving quantum @p quantum. */
 void
-report(const App& app, const RunStats& r, bool with_mem,
-       const sim::CacheConfig& cache, bool hints, int procs,
-       const AppConfig& cfg, const SimOpts& simOpts)
+report(const App& app, const RunStats& r, const MemExperiment* machine,
+       int procs, const AppConfig& cfg, std::uint64_t quantum)
 {
+    const bool bus = machine != nullptr &&
+                     machine->interconnect == sim::Interconnect::Bus;
     std::printf("%s on %d processors (scale %.3g)\n",
                 app.name().c_str(), procs, cfg.scale);
-    if (with_mem && simOpts.interconnect == sim::Interconnect::Bus)
-        std::printf("machine: %llu KB %d-way %dB-line caches, "
-                    "snoopy bus %s\n",
-                    static_cast<unsigned long long>(cache.size >> 10),
-                    cache.assoc, cache.lineSize,
-                    sim::protocol(simOpts.protocol).display);
-    else if (with_mem)
-        std::printf("machine: %llu KB %d-way %dB-line caches, "
-                    "directory %s%s\n",
-                    static_cast<unsigned long long>(cache.size >> 10),
-                    cache.assoc, cache.lineSize,
-                    sim::protocol(simOpts.protocol).display,
-                    hints ? " + replacement hints" : "");
+    if (machine != nullptr)
+        std::printf("machine: %llu KB %d-way %dB-line caches, %s %s%s\n",
+                    static_cast<unsigned long long>(
+                        machine->cache.size >> 10),
+                    machine->cache.assoc, machine->cache.lineSize,
+                    bus ? "snoopy bus" : "directory",
+                    sim::protocol(machine->protocol).display,
+                    !bus && machine->hints ? " + replacement hints"
+                                           : "");
     else
         std::printf("machine: PRAM (perfect memory)\n");
     std::printf("interleaver: quantum %llu\n",
-                static_cast<unsigned long long>(simOpts.quantum));
+                static_cast<unsigned long long>(quantum));
 
     std::printf("\n-- execution --\n");
     std::printf("valid: %s\n", r.valid ? "yes" : "NO");
@@ -139,7 +138,7 @@ report(const App& app, const RunStats& r, bool with_mem,
                 max_t ? double(min_t) / double(max_t) : 0.0,
                 sync_pct / procs);
 
-    if (with_mem) {
+    if (machine != nullptr) {
         std::printf("\n-- memory system --\n");
         std::printf("references: %.3f M, miss rate %.3f%%\n",
                     r.mem.accesses() / 1e6, 100.0 * r.mem.missRate());
@@ -159,7 +158,7 @@ report(const App& app, const RunStats& r, bool with_mem,
         double den = trafficDenominator(app, r.exec);
         if (den <= 0)
             den = 1;
-        if (simOpts.interconnect == sim::Interconnect::Bus)
+        if (bus)
             // Broadcast transactions have no packet decomposition;
             // occupancy of the shared wires is the traffic metric.
             std::printf("bus occupancy (cycles per %s): %.4f "
@@ -416,8 +415,8 @@ runRaceInjection(App& app, int procs, const AppConfig& cfg,
  *  silent on it, seed the corruption, and prove the checker fires.
  *  Returns 0 when every eligible fault was detected. */
 int
-runInjection(App& app, int procs, const sim::CacheConfig& cache,
-             bool hints, const AppConfig& cfg, const SimOpts& simOpts,
+runInjection(App& app, int procs, const MemExperiment& machine,
+             const AppConfig& cfg, const SimOpts& simOpts,
              const std::string& which, std::uint64_t seed)
 {
     std::vector<sim::FaultKind> todo;
@@ -442,18 +441,12 @@ runInjection(App& app, int procs, const sim::CacheConfig& cache,
     std::printf("fault injection: %s on %d processors, seed %llu%s\n\n",
                 app.name().c_str(), procs,
                 static_cast<unsigned long long>(seed),
-                hints ? "" : " (replacement hints off)");
+                machine.hints ? "" : " (replacement hints off)");
     int missed = 0;
     for (sim::FaultKind k : todo) {
         // Fresh simulator state per fault: injections must not compound.
         rt::Env env({rt::Mode::Sim, procs, simOpts.quantum});
-        sim::MachineConfig mc;
-        mc.nprocs = procs;
-        mc.cache = cache;
-        mc.replacementHints = hints;
-        mc.protocol = simOpts.protocol;
-        mc.interconnect = simOpts.interconnect;
-        sim::MemSystem mem(mc, &env.heap());
+        sim::MemSystem mem(machineFor(machine, procs), &env.heap());
         env.attachMemSystem(&mem);
         if (!app.run(env, cfg).valid) {
             std::fprintf(stderr, "%s: run failed validation\n",
@@ -517,7 +510,7 @@ main(int argc, char** argv)
     // Engine flags first: informational requests (--protocol list)
     // and bad engine values resolve without requiring --app.
     EngineOpts eng;
-    if (!parseEngineOpts(opt, &eng))
+    if (!parseEngineOpts(opt, kAllEngineFlags, &eng))
         return eng.listRequested ? 0 : 2;
     std::string name = opt.getS("app", "");
     std::vector<App*> apps;
@@ -592,12 +585,15 @@ main(int argc, char** argv)
     cfg.aux = opt.getI("aux", 0);
     cfg.seed = static_cast<unsigned>(opt.getI("seed", 1234));
 
-    bool with_mem = !opt.has("nomem");
-    bool hints = !opt.has("nohints");
+    const bool with_mem = !opt.has("nomem");
     sim::CacheConfig cache;
     cache.size = std::uint64_t(opt.getI("cachekb", 1024)) << 10;
     cache.assoc = static_cast<int>(opt.getI("assoc", 4));
     cache.lineSize = static_cast<int>(opt.getI("line", 64));
+    const MemExperiment machine{.cache = cache,
+                                .hints = !opt.has("nohints"),
+                                .protocol = eng.protocol,
+                                .interconnect = eng.interconnect};
 
     const bool csv = opt.has("csv");
     const std::string csvPath = opt.getS("csv", "");
@@ -616,8 +612,8 @@ main(int argc, char** argv)
         }
         int rc = 0;
         for (App* app : apps)
-            rc = std::max(rc, runInjection(*app, procs, cache, hints,
-                                           cfg, eng.sim,
+            rc = std::max(rc, runInjection(*app, procs, machine, cfg,
+                                           eng.sim,
                                            opt.getS("inject", "all"),
                                            cfg.seed));
         return rc;
@@ -666,17 +662,9 @@ main(int argc, char** argv)
     Runner runner(eng.jobs);
     for (std::size_t i = 0; i < apps.size(); ++i) {
         runner.add(apps[i]->name(), appCostHint(*apps[i]), [&, i] {
-            if (with_mem) {
-                MemExperiment e;
-                e.cache = cache;
-                e.hints = hints;
-                e.protocol = eng.sim.protocol;
-                e.interconnect = eng.sim.interconnect;
-                results[i] =
-                    runExperiment(*apps[i], procs, e, cfg, eng.sim);
-            } else {
-                results[i] = runPram(*apps[i], procs, cfg, eng.sim);
-            }
+            results[i] = with_mem ? runExperiment(*apps[i], procs,
+                                                  machine, cfg, eng.sim)
+                                  : runPram(*apps[i], procs, cfg, eng.sim);
         });
     }
     runner.run();
@@ -686,8 +674,8 @@ main(int argc, char** argv)
     for (std::size_t i = 0; i < apps.size(); ++i) {
         if (i)
             std::printf("\n================\n\n");
-        report(*apps[i], results[i], with_mem, cache, hints, procs,
-               cfg, eng.sim);
+        report(*apps[i], results[i], with_mem ? &machine : nullptr, procs,
+               cfg, eng.sim.quantum);
         all_valid = all_valid && results[i].valid;
         // Word-granularity conflicts are true data races: fail the
         // run (CI leans on this).  Line-granularity conflicts are the

@@ -1,7 +1,7 @@
 // Tests for the shared engine-flag parser: every invalid value --
 // nonsensical job counts, zero quanta, unknown modes, non-numeric
 // garbage -- must be rejected loudly instead of silently falling back
-// to a default, and valid values must land in the right SimOpts knob.
+// to a default, and valid values must land in the right EngineOpts knob.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -24,7 +24,7 @@ parse(std::vector<std::string> words, EngineOpts* out)
     for (auto& s : full)
         argv.push_back(s.data());
     Options opt(static_cast<int>(argv.size()), argv.data());
-    return parseEngineOpts(opt, out);
+    return parseEngineOpts(opt, kAllEngineFlags, out);
 }
 
 /** Parse @p words, then run the mode-conflict matrix over them the
@@ -42,7 +42,8 @@ parseAndCheck(std::vector<std::string> words, std::string* err = nullptr)
     Options opt(static_cast<int>(argv.size()), argv.data());
     EngineOpts eng;
     ::testing::internal::CaptureStderr();
-    bool ok = parseEngineOpts(opt, &eng) && checkModeConflicts(opt, eng);
+    bool ok = parseEngineOpts(opt, kAllEngineFlags, &eng) &&
+              checkModeConflicts(opt, eng);
     std::string captured = ::testing::internal::GetCapturedStderr();
     if (err)
         *err = captured;
@@ -119,15 +120,15 @@ TEST(EngineOpts, ProtocolNamesLand)
 {
     EngineOpts eng;
     ASSERT_TRUE(parse({}, &eng));
-    EXPECT_EQ(eng.sim.protocol, splash::sim::ProtocolKind::MESI);
+    EXPECT_EQ(eng.protocol, splash::sim::ProtocolKind::MESI);
     ASSERT_TRUE(parse({"--protocol", "msi"}, &eng));
-    EXPECT_EQ(eng.sim.protocol, splash::sim::ProtocolKind::MSI);
+    EXPECT_EQ(eng.protocol, splash::sim::ProtocolKind::MSI);
     ASSERT_TRUE(parse({"--protocol", "mesi"}, &eng));
-    EXPECT_EQ(eng.sim.protocol, splash::sim::ProtocolKind::MESI);
+    EXPECT_EQ(eng.protocol, splash::sim::ProtocolKind::MESI);
     ASSERT_TRUE(parse({"--protocol", "moesi"}, &eng));
-    EXPECT_EQ(eng.sim.protocol, splash::sim::ProtocolKind::MOESI);
+    EXPECT_EQ(eng.protocol, splash::sim::ProtocolKind::MOESI);
     ASSERT_TRUE(parse({"--protocol", "dragon"}, &eng));
-    EXPECT_EQ(eng.sim.protocol, splash::sim::ProtocolKind::Dragon);
+    EXPECT_EQ(eng.protocol, splash::sim::ProtocolKind::Dragon);
 }
 
 TEST(EngineOpts, RejectsUnknownProtocols)
@@ -243,14 +244,11 @@ TEST(EngineOpts, InterconnectNamesLand)
 {
     EngineOpts eng;
     ASSERT_TRUE(parse({}, &eng));
-    EXPECT_EQ(eng.sim.interconnect, splash::sim::Interconnect::Directory);
-    EXPECT_FALSE(eng.interconnectRequested);
+    EXPECT_EQ(eng.interconnect, splash::sim::Interconnect::Directory);
     ASSERT_TRUE(parse({"--interconnect", "directory"}, &eng));
-    EXPECT_EQ(eng.sim.interconnect, splash::sim::Interconnect::Directory);
-    EXPECT_TRUE(eng.interconnectRequested);
+    EXPECT_EQ(eng.interconnect, splash::sim::Interconnect::Directory);
     ASSERT_TRUE(parse({"--interconnect", "bus"}, &eng));
-    EXPECT_EQ(eng.sim.interconnect, splash::sim::Interconnect::Bus);
-    EXPECT_TRUE(eng.interconnectRequested);
+    EXPECT_EQ(eng.interconnect, splash::sim::Interconnect::Bus);
 }
 
 TEST(EngineOpts, RejectsUnknownInterconnects)
@@ -341,12 +339,14 @@ TEST(EngineOpts, ProtocolListIsInformationalNotAnError)
 
 namespace {
 
-/** Parse @p words the way every binary does -- engine flags plus the
- *  program's own @p own flags -- then report leftovers.  Returns the
- *  captured stderr; @p unknown is whether a leftover was reported. */
+/** Parse @p words the way every binary does -- its declared engine
+ *  flags @p flags plus the program's own @p own flags -- then report
+ *  leftovers.  Returns the captured stderr; @p unknown is whether a
+ *  leftover was reported. */
 std::string
 leftoverFlags(std::vector<std::string> words,
-              const std::vector<std::string>& own, bool* unknown)
+              const std::vector<std::string>& own, bool* unknown,
+              unsigned flags = kAllEngineFlags)
 {
     std::vector<std::string> full = {"prog"};
     full.insert(full.end(), words.begin(), words.end());
@@ -356,7 +356,7 @@ leftoverFlags(std::vector<std::string> words,
     Options opt(static_cast<int>(argv.size()), argv.data());
     EngineOpts eng;
     ::testing::internal::CaptureStderr();
-    EXPECT_TRUE(parseEngineOpts(opt, &eng));
+    EXPECT_TRUE(parseEngineOpts(opt, flags, &eng));
     for (const std::string& k : own)
         opt.has(k);
     *unknown = opt.reportUnknown();
@@ -389,6 +389,63 @@ TEST(Options, UnknownFlagIsReported)
                         own, &unknown);
     EXPECT_FALSE(unknown);
     EXPECT_TRUE(err.empty()) << err;
+}
+
+// Each binary declares the engine flags its drivers read.  A declared
+// flag parses; an undeclared one is never looked up, so it is left to
+// reportUnknown() like a typo instead of being silently ignored.
+TEST(Options, EachBinaryAcceptsOnlyItsDeclaredEngineFlags)
+{
+    const std::string dir = ::testing::TempDir();
+    struct Flag
+    {
+        std::string name, value;
+        unsigned bit;
+    };
+    const std::vector<Flag> flags = {
+        {"jobs", "2", kFlagJobs},
+        {"quantum", "100", kFlagQuantum},
+        {"record", dir + "cli_declared_store", kFlagStore},
+        {"replay", dir, kFlagStore},
+        {"sweep", "model", kFlagSweep},
+        {"replicas", "off", kFlagReplicas},
+        {"check", "10", kFlagCheck},
+        {"protocol", "msi", kFlagProtocol},
+        {"interconnect", "bus", kFlagInterconnect},
+        {"race", "word", kFlagRace},
+    };
+    struct Set
+    {
+        const char* binaries;
+        unsigned flags;
+        int accepted;
+    };
+    const Set sets[] = {
+        {"fig1, fig2, table1, table2", kPramFlags, 4},
+        {"fig3", kWorkingSetFlags, 6},
+        {"fig4, fig5, table3", kExperimentFlags, 6},
+        {"fig6, fig7, ablation", kCharacterizationFlags, 7},
+        {"interconnect_traffic", kCharacterizationFlags & ~kFlagProtocol,
+         6},
+        {"splash2run", kAllEngineFlags, 10},
+    };
+    for (const Set& set : sets) {
+        int accepted = 0;
+        for (const Flag& f : flags) {
+            bool unknown = false;
+            const std::string err = leftoverFlags(
+                {"--" + f.name, f.value}, {}, &unknown, set.flags);
+            if ((set.flags & f.bit) != 0) {
+                EXPECT_FALSE(unknown) << set.binaries << ": --" << f.name;
+                EXPECT_TRUE(err.empty()) << err;
+                ++accepted;
+            } else {
+                EXPECT_TRUE(unknown) << set.binaries << ": --" << f.name;
+                EXPECT_EQ(err, "unknown flag --" + f.name + "\n");
+            }
+        }
+        EXPECT_EQ(accepted, set.accepted) << set.binaries;
+    }
 }
 
 TEST(Options, RemovedEngineFlagsAreUnknown)

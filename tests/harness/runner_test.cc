@@ -75,7 +75,7 @@ TEST(Runner, ConcurrentSimulationsAreBitIdenticalToSerial)
     sim::CacheConfig cache;
     cache.size = 64 << 10;
 
-    RunStats alone = runWithMemSystem(*app, 4, cache, cfg);
+    RunStats alone = runExperiment(*app, 4, {.cache = cache}, cfg);
 
     const int kCopies = 4;
     std::vector<RunStats> together(kCopies);
@@ -83,7 +83,7 @@ TEST(Runner, ConcurrentSimulationsAreBitIdenticalToSerial)
     for (int i = 0; i < kCopies; ++i)
         r.add("copy", 1.0, [&, i] {
             together[std::size_t(i)] =
-                runWithMemSystem(*app, 4, cache, cfg);
+                runExperiment(*app, 4, {.cache = cache}, cfg);
         });
     r.run();
 

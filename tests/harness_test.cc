@@ -46,7 +46,7 @@ TEST(Harness, EveryProgramValidUnderMemSystem)
     sim::CacheConfig cache;
     cache.size = 64 << 10;  // small cache: exercises replacements
     for (App* app : suite()) {
-        RunStats r = runWithMemSystem(*app, 4, cache, cfg);
+        RunStats r = runExperiment(*app, 4, {.cache = cache}, cfg);
         EXPECT_TRUE(r.valid) << app->name();
         EXPECT_GT(r.mem.accesses(), 0u) << app->name();
         // Traffic sanity: every component non-negative and total
@@ -64,7 +64,7 @@ TEST(Harness, SweepAndMemSystemSeeSameAccessCounts)
     cfg.scale = 0.1;
     App* fft = findApp("FFT");
     sim::CacheConfig cache;
-    RunStats a = runWithMemSystem(*fft, 4, cache, cfg);
+    RunStats a = runExperiment(*fft, 4, {.cache = cache}, cfg);
     sim::SweepConfig sc;
     sc.nprocs = 4;
     RunStats b = runWorkingSets(*fft, 4, sc, cfg).stats;

@@ -250,11 +250,12 @@ TEST(CoherenceChecker, CheckerDoesNotPerturbCharacterization)
     sim::CacheConfig cache;
 
     SimOpts off;
-    RunStats plain = runWithMemSystem(*app, procs, cache, cfg, off);
+    RunStats plain = runExperiment(*app, procs, {.cache = cache}, cfg, off);
 
     SimOpts checked;
     checked.checkPeriod = 1;  // full sweep every slow-path transaction
-    RunStats audited = runWithMemSystem(*app, procs, cache, cfg, checked);
+    RunStats audited =
+        runExperiment(*app, procs, {.cache = cache}, cfg, checked);
 
     EXPECT_TRUE(plain.valid);
     EXPECT_TRUE(audited.valid);

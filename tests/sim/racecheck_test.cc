@@ -537,10 +537,12 @@ TEST(RaceCheckApps, CharacterizationStatsUnchangedByRaceChecking)
     CacheConfig cache;
 
     SimOpts off;
-    RunStats a = runWithMemSystem(*app, procs, cache, smallCfg(), off);
+    RunStats a =
+        runExperiment(*app, procs, {.cache = cache}, smallCfg(), off);
     SimOpts word;
     word.race = RaceGranularity::Word;
-    RunStats b = runWithMemSystem(*app, procs, cache, smallCfg(), word);
+    RunStats b =
+        runExperiment(*app, procs, {.cache = cache}, smallCfg(), word);
 
     ASSERT_TRUE(a.valid);
     ASSERT_TRUE(b.valid);

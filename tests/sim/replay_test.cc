@@ -471,7 +471,7 @@ TEST(BroadcastRegression, ReproducesCommittedFig4FftRow)
     AppConfig cfg;  // default scale (as committed)
     const int procs = 32;
     sim::CacheConfig cache;  // 1 MB 4-way 64 B, the Figure 4 machine
-    RunStats r = runWithMemSystem(*app, procs, cache, cfg);
+    RunStats r = runExperiment(*app, procs, {.cache = cache}, cfg);
 
     auto it = committed.find({"FFT", std::to_string(procs)});
     ASSERT_NE(it, committed.end());
