@@ -11,6 +11,7 @@
  *  - Working-set sweep throughput: every Figure-3 operating point
  *    updated per reference (BM_SweepAccess), and the reuse-distance
  *    profiler on the same reference mix (BM_ReuseDistAccess)
+ *  - Race-detector throughput at word grain (BM_RaceCheckAccess)
  *  - Batched reference delivery under a full Env (BM_Delivery_Batched)
  *  - Scheduler context-switch cost and quantum sensitivity
  *  - Fiber handoff cost: ping-pong benchmarks where two processors
@@ -28,6 +29,7 @@
 #include "rt/scheduler.h"
 #include "rt/shared.h"
 #include "sim/memsys.h"
+#include "sim/racecheck.h"
 #include "sim/replay.h"
 #include "sim/reusedist.h"
 #include "sim/sweep.h"
@@ -172,6 +174,78 @@ BM_ReuseDistAccess(benchmark::State& state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ReuseDistAccess);
+
+/** Race-detector cost per reference at word grain, 4 processors,
+ *  8-byte accesses.  Each processor streams through its own 2 MiB
+ *  slice (a quarter of them writes, one in 16 jumps to a random
+ *  word) and a quarter of the references read a shared, never-written
+ *  1 MiB block, so those granules are read-shared.  The 9 MiB
+ *  footprint exceeds L2, and every 4096 references one processor
+ *  releases a lock the next acquires, so epochs advance as in the
+ *  programs.  The stream is race-free.  An untimed pass touches the
+ *  whole footprint first, so the timing is steady state rather than
+ *  shadow allocation, whose share would depend on the iteration
+ *  count. */
+static void
+BM_RaceCheckAccess(benchmark::State& state)
+{
+    constexpr int kProcs = 4;
+    constexpr Addr kSlice = Addr(2) << 20;
+    constexpr Addr kShared = Addr(1) << 20;
+    constexpr Addr kBase = 0x100000000ull;
+    sim::RaceConfig cfg;
+    cfg.nprocs = kProcs;
+    sim::RaceChecker rc(cfg);
+    sim::AccessRec w;
+    w.size = 8;
+    for (int p = 0; p < kProcs; ++p) {
+        w.proc = static_cast<std::int16_t>(p);
+        for (Addr a = 0; a < kSlice; a += 8) {
+            w.addr = kBase + p * kSlice + a;
+            rc.access(w);
+        }
+        for (Addr a = 0; a < kShared; a += 8) {
+            w.addr = kBase + kProcs * kSlice + a;
+            rc.access(w);
+        }
+    }
+    Addr cursor[kProcs] = {0, 0, 0, 0};
+    std::uint64_t x = 12345;
+    std::uint64_t i = 0;
+    for (auto _ : state) {
+        x = x * 6364136223846793005ull + 1442695040888963407ull;
+        sim::AccessRec r;
+        r.proc = static_cast<std::int16_t>(x >> 62);
+        r.size = 8;
+        r.ltime = i;
+        if (((x >> 8) & 3) == 0) {
+            r.addr = kBase + kProcs * kSlice + ((x >> 20) % kShared & ~7);
+            r.type = AccessType::Read;
+        } else {
+            Addr& c = cursor[r.proc];
+            c = ((x >> 10) & 15) == 0 ? (x >> 24) % kSlice & ~7
+                                      : (c + 8) % kSlice;
+            r.addr = kBase + r.proc * kSlice + c;
+            r.type = ((x >> 14) & 3) == 0 ? AccessType::Write
+                                          : AccessType::Read;
+        }
+        rc.access(r);
+        if (++i % 4096 == 0) {
+            sim::SyncRec s;
+            s.prim = sim::SyncPrim::Lock;
+            s.op = sim::SyncOp::Release;
+            s.proc = static_cast<std::int16_t>((i / 4096) % kProcs);
+            rc.sync(s);
+            s.op = sim::SyncOp::Acquire;
+            s.proc = static_cast<std::int16_t>((i / 4096 + 1) % kProcs);
+            rc.sync(s);
+        }
+    }
+    if (!rc.outcome().clean())
+        state.SkipWithError("race reported on a race-free stream");
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RaceCheckAccess);
 
 /** Broadcast replay throughput: the sweepStep reference mix fanned
  *  out to N MemSystem replicas on consumer threads (N > 0) or

@@ -4,9 +4,9 @@
 Three measurements:
 
  1. Reference cost: the BM_MemSysHit / BM_MemSysMiss / BM_SweepAccess /
-    BM_ReuseDistAccess / BM_Delivery_Batched / BM_Broadcast
-    microbenchmarks from bench/micro_simthroughput (each reports
-    references per second; ns/ref = 1e9 / that).
+    BM_ReuseDistAccess / BM_RaceCheckAccess / BM_Delivery_Batched /
+    BM_Broadcast microbenchmarks from bench/micro_simthroughput (each
+    reports references per second; ns/ref = 1e9 / that).
     BM_MemSysHitProto/<name> and BM_MemSysMissProto/<name> repeat the
     hit/miss measurements under every registered coherence protocol,
     so the table-driven dispatch can be compared across the zoo
@@ -17,11 +17,17 @@ Three measurements:
     (FFT, 32 processors, all 44 operating points), best of N.  The
     sweep dominates Figure 3 / Table 2 turnaround.
 
-Gate: exits 1 when BM_SweepAccess costs more than SWEEP_GATE_NS
+Gates: exits 1 when BM_SweepAccess costs more than SWEEP_GATE_NS
 nanoseconds per reference (every Figure-3 operating point of one
-processor updated for one reference).
+processor updated for one reference), or BM_RaceCheckAccess more than
+RACE_GATE_NS (one word-grain race-detector reference).
+
+--parent FILE embeds a BENCH_memsys.json measured on an earlier build
+as the "parent" entry, so a report can hold before and after values
+taken on the same host back to back.
 
 Usage: scripts/bench_memsys.py [--build build] [--reps 3] [--n 16]
+                               [--parent FILE]
 Writes BENCH_memsys.json in the repository root.
 """
 
@@ -33,6 +39,15 @@ import sys
 import benchlib
 
 SWEEP_GATE_NS = 800.0
+# Same headroom over the measured cost as the sweep gate (800 over
+# 596 ns/ref): 112 ns/ref measured on a 4-CPU x86-64 host, x 800/596.
+RACE_GATE_NS = 150.0
+
+
+def gate(micro, name, limit):
+    measured = micro[name]["ns_per_ref"]
+    return {"metric": name + " ns_per_ref", "limit": limit,
+            "measured": measured, "pass": measured <= limit}
 
 
 def main():
@@ -41,12 +56,16 @@ def main():
     ap.add_argument("--reps", type=int, default=3)
     ap.add_argument("--n", type=int, default=16,
                     help="FFT log2(points) for the end-to-end runs")
+    ap.add_argument("--parent",
+                    help="BENCH_memsys.json of the parent build, "
+                         "measured on the same host")
     args = ap.parse_args()
 
     os.chdir(benchlib.repo_root())
 
     micro = benchlib.run_micro(
-        args.build, "MemSys|Sweep|ReuseDist|Delivery|Broadcast", "ref")
+        args.build, "MemSys|Sweep|ReuseDist|RaceCheck|Delivery|Broadcast",
+        "ref")
 
     run_exe = os.path.join(args.build, "src", "splash2run")
     run_args = [run_exe, "--app", "fft", "--procs", "32",
@@ -58,11 +77,10 @@ def main():
                  "--n", str(args.n), "--csv"]
     sweep_seconds = benchlib.time_cmd(fig3_args, args.reps)
 
-    sweep_ns = micro["BM_SweepAccess"]["ns_per_ref"]
     report = {
         "description": "Memory-path cost: silent-hit fast path (per "
                        "protocol), reference delivery, working-set "
-                       "sweep",
+                       "sweep, race detector",
         "provenance": benchlib.provenance(args.build),
         "reference_cost": micro,
         "end_to_end_characterization": {
@@ -75,22 +93,29 @@ def main():
             "reps": args.reps,
             "seconds": sweep_seconds,
         },
-        "sweep_gate": {
-            "metric": "BM_SweepAccess ns_per_ref",
-            "limit": SWEEP_GATE_NS,
-            "measured": sweep_ns,
-            "pass": sweep_ns <= SWEEP_GATE_NS,
-        },
+        "sweep_gate": gate(micro, "BM_SweepAccess", SWEEP_GATE_NS),
+        "race_gate": gate(micro, "BM_RaceCheckAccess", RACE_GATE_NS),
     }
+    if args.parent:
+        with open(args.parent) as f:
+            parent = json.load(f)
+        report["parent"] = {k: parent[k] for k in
+                            ("provenance", "reference_cost",
+                             "end_to_end_characterization",
+                             "end_to_end_fig3_sweep")}
     benchlib.write_report("BENCH_memsys.json", report)
     print(json.dumps(report["end_to_end_characterization"], indent=2))
     print(json.dumps(report["end_to_end_fig3_sweep"], indent=2))
-    print(json.dumps(report["sweep_gate"], indent=2))
-    if not report["sweep_gate"]["pass"]:
-        print("FAIL: BM_SweepAccess %.0f ns/ref exceeds %.0f"
-              % (sweep_ns, SWEEP_GATE_NS), file=sys.stderr)
-        return 1
-    return 0
+    rc = 0
+    for key in ("sweep_gate", "race_gate"):
+        g = report[key]
+        print(json.dumps(g, indent=2))
+        if not g["pass"]:
+            print("FAIL: %s %.0f exceeds %.0f"
+                  % (g["metric"], g["measured"], g["limit"]),
+                  file=sys.stderr)
+            rc = 1
+    return rc
 
 
 if __name__ == "__main__":

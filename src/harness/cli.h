@@ -260,9 +260,10 @@ parseEngineOpts(const Options& opt, unsigned flags, EngineOpts* out)
 /** Reject contradictory mode-flag combinations with the uniform
  *  "conflicting flags" diagnostic.  splash2run calls this once after
  *  parseEngineOpts; it covers the run-mode matrix the engine flags
- *  cannot see on their own (--inject and --race-inject are splash2run
- *  flags, not engine flags).  Each harness or mode owns the whole
- *  run, so combining two of them would silently ignore one -- reject
+ *  cannot see on their own (--inject, --race-inject and --nomem are
+ *  splash2run flags, not engine flags).  Each harness or mode owns
+ *  the whole run, so combining two of them, or giving a mode a flag
+ *  its driver never reads, would silently ignore one -- reject
  *  instead of no-op.  Returns true when the combination is runnable.
  */
 inline bool
@@ -303,6 +304,23 @@ checkModeConflicts(const Options& opt, const EngineOpts& eng)
                                 "the working-set sweep models cache "
                                 "capacity only and has no "
                                 "interconnect");
+    // Flags the chosen driver never reads: runWorkingSets has no
+    // detector and no coherence state, and the --nomem PRAM run (which
+    // does attach the detector) has no machine at all.
+    if (eng.sweepRequested) {
+        for (const char* f : {"race", "protocol", "check"})
+            if (opt.has(f))
+                return conflictingFlags("--sweep", std::string("--") + f,
+                                        "the working-set sweep models "
+                                        "cache capacity only");
+    }
+    if (opt.has("nomem")) {
+        for (const char* f : {"protocol", "check", "interconnect"})
+            if (opt.has(f))
+                return conflictingFlags("--nomem", std::string("--") + f,
+                                        "the PRAM run simulates no "
+                                        "machine");
+    }
     // A named fault kind targets one organization's state; injecting
     // it under the other interconnect could only ever SKIP, so the
     // mismatch is rejected at parse time ('all' filters by

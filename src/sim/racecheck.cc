@@ -106,39 +106,39 @@ acquireFaultKind(SyncPrim prim)
 }
 
 inline std::size_t
-hashGranule(Addr key)
+hashPage(Addr key)
 {
     std::uint64_t h = std::uint64_t(key) * 0x9E3779B97F4A7C15ull;
     return static_cast<std::size_t>(h ^ (h >> 29));
 }
 
+/** Granules per shadow page (log2). */
+constexpr int kPageBits = 10;
+constexpr Addr kPageMask = (Addr(1) << kPageBits) - 1;
+
+/** Bit 63 of a cell's `r`: the rest is a read-VC pool index.  No
+ *  epoch sets it (the processor field is at most kMaxProcs). */
+constexpr std::uint64_t kReadVC = std::uint64_t(1) << 63;
+
 } // namespace
 
 /** Shadow state of one granule.  `w` is the last-write epoch.  Reads
  *  are an epoch in `r` until two concurrent reads force promotion to
- *  a read vector clock (`rvc` indexes the pool); the VC collapses
- *  back at the next ordered write. */
-struct RaceChecker::VarState
+ *  a read vector clock (`r` = kReadVC | pool index); the VC collapses
+ *  back at the next ordered write.  All zero = never accessed. */
+struct RaceChecker::Cell
 {
-    std::uint64_t w = 0;
-    std::uint64_t r = 0;
-    std::int32_t rvc = -1;
-    Tick wLt = 0;  ///< ltime of the last write (reporting)
-    Tick rLt = 0;  ///< ltime of the epoch read (reporting)
+    std::uint64_t w;
+    std::uint64_t r;
+    Tick wLt;  ///< ltime of the last write (reporting)
+    Tick rLt;  ///< ltime of the epoch read (reporting)
 };
 
-struct RaceChecker::Slot
+/** A directory entry: page index + 1 (0 = empty) and its cells. */
+struct RaceChecker::DirSlot
 {
-    Addr key = 0;  ///< granule index + 1; 0 = empty
-    VarState v;
-};
-
-/** Per-processor read clocks of a read-shared granule, with the
- *  matching logical times so reports can cite the racy read. */
-struct RaceChecker::ReadVC
-{
-    std::vector<std::uint32_t> clk;
-    std::vector<Tick> lt;
+    Addr key = 0;
+    Cell* cells = nullptr;
 };
 
 // --------------------------------------------------------------------
@@ -165,48 +165,57 @@ RaceChecker::RaceChecker(const RaceConfig& cfg) : cfg_(cfg)
     procVC_.assign(std::size_t(cfg_.nprocs) * cfg_.nprocs, 0);
     for (int p = 0; p < cfg_.nprocs; ++p)
         procVC_[std::size_t(p) * cfg_.nprocs + p] = 1;
-    slots_.resize(std::size_t(1) << 12);
+    dir_.resize(64);
 }
 
 RaceChecker::~RaceChecker() = default;
 
 // --------------------------------------------------------------------
-// Shadow table
+// Shadow memory
 // --------------------------------------------------------------------
 
-void
-RaceChecker::grow()
+/** The directory slot holding @p key, or the empty slot where it
+ *  belongs. */
+std::size_t
+RaceChecker::dirSlot(Addr key) const
 {
-    std::vector<Slot> old;
-    old.swap(slots_);
-    slots_.resize(old.size() * 2);
-    const std::size_t mask = slots_.size() - 1;
-    for (const Slot& s : old) {
-        if (s.key == 0)
-            continue;
-        std::size_t i = hashGranule(s.key) & mask;
-        while (slots_[i].key != 0)
-            i = (i + 1) & mask;
-        slots_[i] = s;
-    }
+    const std::size_t mask = dir_.size() - 1;
+    std::size_t i = hashPage(key) & mask;
+    while (dir_[i].key != 0 && dir_[i].key != key)
+        i = (i + 1) & mask;
+    return i;
 }
 
-RaceChecker::VarState&
-RaceChecker::shadow(Addr granule)
+/** The page with directory key @p key, created zeroed on first use.
+ *  The directory grows only here, when a page is created. */
+RaceChecker::Cell*
+RaceChecker::page(Addr key)
 {
-    if ((used_ + 1) * 10 >= slots_.size() * 7)
-        grow();
-    const Addr key = granule + 1;
-    const std::size_t mask = slots_.size() - 1;
-    std::size_t i = hashGranule(key) & mask;
-    while (slots_[i].key != 0) {
-        if (slots_[i].key == key)
-            return slots_[i].v;
-        i = (i + 1) & mask;
+    std::size_t i = dirSlot(key);
+    if (dir_[i].key == key)
+        return dir_[i].cells;
+    if ((pages_.size() + 1) * 10 >= dir_.size() * 7) {
+        std::vector<DirSlot> old(dir_.size() * 2);
+        old.swap(dir_);
+        for (const DirSlot& d : old)
+            if (d.key != 0)
+                dir_[dirSlot(d.key)] = d;
+        i = dirSlot(key);
     }
-    slots_[i].key = key;
-    ++used_;
-    return slots_[i].v;
+    pages_.push_back(std::make_unique<Cell[]>(std::size_t(1) << kPageBits));
+    dir_[i] = {key, pages_.back().get()};
+    return dir_[i].cells;
+}
+
+inline RaceChecker::Cell&
+RaceChecker::cell(Addr granule)
+{
+    const Addr key = (granule >> kPageBits) + 1;
+    if (key != lastKey_) {
+        lastPage_ = page(key);
+        lastKey_ = key;
+    }
+    return lastPage_[granule & kPageMask];
 }
 
 std::vector<std::uint32_t>&
@@ -259,7 +268,9 @@ RaceChecker::report(Addr g, const RaceAccess& prev, const AccessRec& cur)
 void
 RaceChecker::checkGranule(Addr g, const AccessRec& rec)
 {
-    VarState& v = shadow(g);
+    Cell& v = cell(g);
+    if ((v.w | v.r) == 0)
+        ++tracked_;  // every access leaves w or r nonzero
     const int t = rec.proc;
     const int n = cfg_.nprocs;
     const std::uint32_t* C = &procVC_[std::size_t(t) * n];
@@ -267,7 +278,7 @@ RaceChecker::checkGranule(Addr g, const AccessRec& rec)
 
     if (rec.type == AccessType::Read) {
         // Same-epoch read: nothing new since our last read here.
-        if (v.rvc < 0 && v.r == myEpoch) {
+        if (v.r == myEpoch) {
             v.rLt = rec.ltime;
             return;
         }
@@ -280,11 +291,11 @@ RaceChecker::checkGranule(Addr g, const AccessRec& rec)
                         v.wLt},
                        rec);
         }
-        if (v.rvc >= 0) {
+        if ((v.r & kReadVC) != 0) {
             // Read-shared: just our slot in the read VC.
-            ReadVC& rv = *readPool_[v.rvc];
-            rv.clk[t] = C[t];
-            rv.lt[t] = rec.ltime;
+            const std::size_t at = (v.r & ~kReadVC) * n + t;
+            readClk_[at] = C[t];
+            readLt_[at] = rec.ltime;
         } else if (v.r == 0 || epochProc(v.r) == t ||
                    epochClk(v.r) <= C[epochProc(v.r)]) {
             // No previous read, or it happens-before us: stay an epoch.
@@ -292,24 +303,24 @@ RaceChecker::checkGranule(Addr g, const AccessRec& rec)
             v.rLt = rec.ltime;
         } else {
             // Two concurrent readers: promote to a read vector clock.
-            int idx = -1;
+            std::size_t idx = readClk_.size() / n;
             if (!readFree_.empty()) {
                 idx = readFree_.back();
                 readFree_.pop_back();
+                std::fill_n(&readClk_[idx * n], n, 0u);
+                std::fill_n(&readLt_[idx * n], n, Tick(0));
             } else {
-                idx = static_cast<int>(readPool_.size());
-                readPool_.push_back(std::make_unique<ReadVC>());
+                readClk_.resize(readClk_.size() + n);
+                readLt_.resize(readLt_.size() + n);
             }
-            ReadVC& rv = *readPool_[idx];
-            rv.clk.assign(n, 0);
-            rv.lt.assign(n, 0);
+            std::uint32_t* clk = &readClk_[idx * n];
+            Tick* lt = &readLt_[idx * n];
             const int rp = epochProc(v.r);
-            rv.clk[rp] = epochClk(v.r);
-            rv.lt[rp] = v.rLt;
-            rv.clk[t] = C[t];
-            rv.lt[t] = rec.ltime;
-            v.rvc = idx;
-            v.r = 0;
+            clk[rp] = epochClk(v.r);
+            lt[rp] = v.rLt;
+            clk[t] = C[t];
+            lt[t] = rec.ltime;
+            v.r = kReadVC | idx;
         }
         return;
     }
@@ -327,17 +338,17 @@ RaceChecker::checkGranule(Addr g, const AccessRec& rec)
                     v.wLt},
                    rec);
     }
-    if (v.rvc >= 0) {
-        ReadVC& rv = *readPool_[v.rvc];
+    if ((v.r & kReadVC) != 0) {
+        const std::size_t idx = v.r & ~kReadVC;
+        const std::uint32_t* clk = &readClk_[idx * n];
         for (int q = 0; q < n; ++q) {
-            if (q != t && rv.clk[q] > C[q])
+            if (q != t && clk[q] > C[q])
                 report(g,
                        {static_cast<std::int16_t>(q), AccessType::Read,
-                        rv.lt[q]},
+                        readLt_[idx * n + q]},
                        rec);
         }
-        readFree_.push_back(v.rvc);
-        v.rvc = -1;
+        readFree_.push_back(idx);
     } else if (v.r != 0) {
         const int rp = epochProc(v.r);
         if (rp != t && epochClk(v.r) > C[rp])
@@ -457,7 +468,7 @@ RaceChecker::outcome() const
     o.races = pairKeys_.size();
     o.racyGranules = racyGranules_.size();
     o.dynamicRaces = dynamicRaces_;
-    o.granulesTracked = used_;
+    o.granulesTracked = tracked_;
     o.census = census_;
     o.reports = reports_;
     return o;

@@ -29,6 +29,17 @@
  * (the read-shared case), and collapse back to an epoch at the next
  * ordered write.  The common same-epoch case is one load + compare.
  *
+ * Shadow layout: paged shadow memory, as in TSan and Valgrind.  A page
+ * holds 2^10 consecutive granules as a dense array of 32-byte cells
+ * {w, r, wLt, rLt}: the last-write and read epochs and the logical
+ * times reports cite.  A small open-addressed directory maps page
+ * index + 1 to its page, and the page of the last lookup is cached,
+ * so the next granule of an 8-byte access or a streamed array costs
+ * one compare and usually shares the cache line.  A read-shared
+ * granule's read vector clock lives in a recycled pool; its cell's r
+ * holds kReadVC | pool index, with bit 63 set, which no epoch sets,
+ * so the same-epoch read test stays `r == epoch`.
+ *
  * Shadow granularity is the knob that turns the verifier into the
  * false-sharing census:
  *
@@ -217,16 +228,15 @@ class RaceChecker final : public RefSink
     std::string summary() const;
 
   private:
-    struct VarState;
-    struct ReadVC;
+    struct Cell;
+    struct DirSlot;
 
-    VarState& shadow(Addr granule);
+    Cell& cell(Addr granule);
+    Cell* page(Addr key);
+    std::size_t dirSlot(Addr key) const;
     std::vector<std::uint32_t>& objClock(std::uint32_t obj);
     void checkGranule(Addr g, const AccessRec& r);
     void report(Addr g, const RaceAccess& prev, const AccessRec& cur);
-    int promoteReads(std::uint64_t epoch, Tick ltime);
-    void releaseReadVC(VarState& v);
-    void grow();
 
     RaceConfig cfg_;
     int shift_ = 2;        ///< log2(granule bytes)
@@ -237,15 +247,23 @@ class RaceChecker final : public RefSink
     /** Per-sync-object clocks L_m, grown on first use. */
     std::vector<std::vector<std::uint32_t>> objVC_;
 
-    /** Open-addressing shadow table keyed by granule index + 1. */
-    struct Slot;
-    std::vector<Slot> slots_;
-    std::size_t used_ = 0;
+    /** Shadow pages of 2^10 cells, found through an
+     *  open-addressed directory keyed by page index + 1; the page of
+     *  the last lookup is cached. */
+    std::vector<std::unique_ptr<Cell[]>> pages_;
+    std::vector<DirSlot> dir_;
+    Addr lastKey_ = 0;
+    Cell* lastPage_ = nullptr;
+    /** Cells that have left the all-zero state. */
+    std::uint64_t tracked_ = 0;
 
-    /** Read vector-clock pool (read-shared granules only); shadow
-     *  slots reference entries by index, freed ones are recycled. */
-    std::vector<std::unique_ptr<ReadVC>> readPool_;
-    std::vector<int> readFree_;
+    /** Read vector-clock pool (read-shared granules only): entry i
+     *  is the nprocs clocks at [i * nprocs] and the logical times
+     *  reports cite beside them; a cell references an entry by
+     *  index, freed ones are recycled. */
+    std::vector<std::uint32_t> readClk_;
+    std::vector<Tick> readLt_;
+    std::vector<std::size_t> readFree_;
 
     // Results.
     SyncCensus census_;

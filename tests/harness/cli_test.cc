@@ -281,6 +281,18 @@ TEST(EngineOpts, ModeConflictMatrixRejected)
     // The working-set sweep models cache capacity only.
     EXPECT_FALSE(parseAndCheck({"--interconnect", "bus", "--sweep",
                                 "exact"}));
+    // A flag the chosen driver never reads: the sweep has no detector
+    // or coherence state, the --nomem PRAM run no machine.
+    const std::vector<std::vector<std::string>> unread = {
+        {"--sweep", "exact", "--race", "word"},
+        {"--sweep", "model", "--protocol", "dragon"},
+        {"--sweep", "both", "--check", "5"},
+        {"--nomem", "1", "--protocol", "dragon"},
+        {"--nomem", "1", "--check", "5"},
+        {"--nomem", "1", "--interconnect", "directory"},
+    };
+    for (const auto& combo : unread)
+        EXPECT_FALSE(parseAndCheck(combo)) << combo[0] << " " << combo[2];
     // A named fault kind must target the configured interconnect.
     EXPECT_FALSE(parseAndCheck({"--inject", "dropped-inval",
                                 "--interconnect", "bus"}));
@@ -297,6 +309,8 @@ TEST(EngineOpts, ModeConflictMatrixRejected)
                                "word"}));
     EXPECT_TRUE(parseAndCheck({"--interconnect", "directory",
                                "--sweep", "exact"}));
+    EXPECT_TRUE(parseAndCheck({"--nomem", "1", "--race", "word"}));
+    EXPECT_TRUE(parseAndCheck({"--sweep", "both", "--replicas", "off"}));
 }
 
 // All contradictory combinations -- including the two rejected inside
@@ -309,6 +323,8 @@ TEST(EngineOpts, ConflictDiagnosticsShareOneShape)
         {"--inject", "all", "--race", "word"},
         {"--race-inject", "all", "--sweep", "exact"},
         {"--interconnect", "bus", "--sweep", "both"},
+        {"--sweep", "exact", "--race", "word"},
+        {"--nomem", "1", "--check", "5"},
         {"--inject", "ghost-exclusive"},
         {"--record", dir + "cli_conflict_store", "--replay", dir},
     };
