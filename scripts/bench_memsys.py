@@ -20,33 +20,37 @@ Three measurements:
 Gates: exits 1 when BM_SweepAccess costs more than SWEEP_GATE_NS
 nanoseconds per reference (every Figure-3 operating point of one
 processor updated for one reference), or BM_RaceCheckAccess more than
-RACE_GATE_NS (one word-grain race-detector reference).
-
---parent FILE embeds a BENCH_memsys.json measured on an earlier build
-as the "parent" entry, so a report can hold before and after values
-taken on the same host back to back.
+RACE_GATE_NS (one word-grain race-detector reference).  A gate reads
+the median of GATE_PROCESSES separate benchmark processes: one
+process's figure moves far more between processes than within one, so
+a single slow process must not fail the run.
 
 Usage: scripts/bench_memsys.py [--build build] [--reps 3] [--n 16]
-                               [--parent FILE]
 Writes BENCH_memsys.json in the repository root.
 """
 
 import argparse
 import json
 import os
+import statistics
 import sys
 
 import benchlib
 
 SWEEP_GATE_NS = 800.0
-# Same headroom over the measured cost as the sweep gate (800 over
-# 596 ns/ref): 112 ns/ref measured on a 4-CPU x86-64 host, x 800/596.
-RACE_GATE_NS = 150.0
+# The largest BM_RaceCheckAccess figure of 20 separate processes on a
+# 4-CPU x86-64 host (83.4 ns/ref; median 63.8), times the sweep gate's
+# headroom (800 over 596 ns/ref).
+RACE_GATE_NS = 112.0
+GATE_PROCESSES = 5
 
 
-def gate(micro, name, limit):
-    measured = micro[name]["ns_per_ref"]
+def gate(samples, name, limit):
+    """Gate @p name on the median ns/ref of the per-process @p samples."""
+    values = sorted(s[name]["ns_per_ref"] for s in samples)
+    measured = statistics.median(values)
     return {"metric": name + " ns_per_ref", "limit": limit,
+            "processes": len(values), "samples": values,
             "measured": measured, "pass": measured <= limit}
 
 
@@ -56,9 +60,6 @@ def main():
     ap.add_argument("--reps", type=int, default=3)
     ap.add_argument("--n", type=int, default=16,
                     help="FFT log2(points) for the end-to-end runs")
-    ap.add_argument("--parent",
-                    help="BENCH_memsys.json of the parent build, "
-                         "measured on the same host")
     args = ap.parse_args()
 
     os.chdir(benchlib.repo_root())
@@ -66,6 +67,11 @@ def main():
     micro = benchlib.run_micro(
         args.build, "MemSys|Sweep|ReuseDist|RaceCheck|Delivery|Broadcast",
         "ref")
+    # The gated figures again, each from a process of its own.
+    samples = [micro] + [
+        benchlib.run_micro(args.build,
+                           "BM_SweepAccess|BM_RaceCheckAccess", "ref")
+        for _ in range(GATE_PROCESSES - 1)]
 
     run_exe = os.path.join(args.build, "src", "splash2run")
     run_args = [run_exe, "--app", "fft", "--procs", "32",
@@ -93,16 +99,9 @@ def main():
             "reps": args.reps,
             "seconds": sweep_seconds,
         },
-        "sweep_gate": gate(micro, "BM_SweepAccess", SWEEP_GATE_NS),
-        "race_gate": gate(micro, "BM_RaceCheckAccess", RACE_GATE_NS),
+        "sweep_gate": gate(samples, "BM_SweepAccess", SWEEP_GATE_NS),
+        "race_gate": gate(samples, "BM_RaceCheckAccess", RACE_GATE_NS),
     }
-    if args.parent:
-        with open(args.parent) as f:
-            parent = json.load(f)
-        report["parent"] = {k: parent[k] for k in
-                            ("provenance", "reference_cost",
-                             "end_to_end_characterization",
-                             "end_to_end_fig3_sweep")}
     benchlib.write_report("BENCH_memsys.json", report)
     print(json.dumps(report["end_to_end_characterization"], indent=2))
     print(json.dumps(report["end_to_end_fig3_sweep"], indent=2))

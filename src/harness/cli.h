@@ -262,9 +262,9 @@ parseEngineOpts(const Options& opt, unsigned flags, EngineOpts* out)
  *  parseEngineOpts; it covers the run-mode matrix the engine flags
  *  cannot see on their own (--inject, --race-inject and --nomem are
  *  splash2run flags, not engine flags).  Each harness or mode owns
- *  the whole run, so combining two of them, or giving a mode a flag
- *  its driver never reads, would silently ignore one -- reject
- *  instead of no-op.  Returns true when the combination is runnable.
+ *  the whole run, so combining two of them, or giving a mode a
+ *  non-default value its driver never reads, would silently ignore
+ *  one -- reject instead of no-op.  Returns true when the combination is runnable.
  */
 inline bool
 checkModeConflicts(const Options& opt, const EngineOpts& eng)
@@ -304,23 +304,25 @@ checkModeConflicts(const Options& opt, const EngineOpts& eng)
                                 "the working-set sweep models cache "
                                 "capacity only and has no "
                                 "interconnect");
-    // Flags the chosen driver never reads: runWorkingSets has no
-    // detector and no coherence state, and the --nomem PRAM run (which
-    // does attach the detector) has no machine at all.
-    if (eng.sweepRequested) {
-        for (const char* f : {"race", "protocol", "check"})
-            if (opt.has(f))
-                return conflictingFlags("--sweep", std::string("--") + f,
-                                        "the working-set sweep models "
-                                        "cache capacity only");
-    }
-    if (opt.has("nomem")) {
-        for (const char* f : {"protocol", "check", "interconnect"})
-            if (opt.has(f))
-                return conflictingFlags("--nomem", std::string("--") + f,
-                                        "the PRAM run simulates no "
-                                        "machine");
-    }
+    // A non-default value the chosen driver never reads: the
+    // working-set sweep has no detector and no coherence state, and
+    // the --nomem PRAM run (which does attach the detector) has no
+    // machine.  A default value changes nothing and stays legal, as
+    // --interconnect directory does with --sweep above.
+    const EngineOpts def;
+    const char* unread = nullptr;
+    if (eng.protocol != def.protocol)
+        unread = "--protocol";
+    else if (eng.sim.checkPeriod != def.sim.checkPeriod)
+        unread = "--check";
+    if (eng.sweepRequested && (race || unread != nullptr))
+        return conflictingFlags("--sweep", race ? "--race" : unread,
+                                "the working-set sweep models cache "
+                                "capacity only");
+    if (opt.has("nomem") && (bus || unread != nullptr))
+        return conflictingFlags("--nomem",
+                                bus ? "--interconnect bus" : unread,
+                                "the PRAM run simulates no machine");
     // A named fault kind targets one organization's state; injecting
     // it under the other interconnect could only ever SKIP, so the
     // mismatch is rejected at parse time ('all' filters by

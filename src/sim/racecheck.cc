@@ -105,13 +105,6 @@ acquireFaultKind(SyncPrim prim)
     return RaceFault::DropLockAcquire;
 }
 
-inline std::size_t
-hashPage(Addr key)
-{
-    std::uint64_t h = std::uint64_t(key) * 0x9E3779B97F4A7C15ull;
-    return static_cast<std::size_t>(h ^ (h >> 29));
-}
-
 /** Granules per shadow page (log2). */
 constexpr int kPageBits = 10;
 constexpr Addr kPageMask = (Addr(1) << kPageBits) - 1;
@@ -132,13 +125,6 @@ struct RaceChecker::Cell
     std::uint64_t r;
     Tick wLt;  ///< ltime of the last write (reporting)
     Tick rLt;  ///< ltime of the epoch read (reporting)
-};
-
-/** A directory entry: page index + 1 (0 = empty) and its cells. */
-struct RaceChecker::DirSlot
-{
-    Addr key = 0;
-    Cell* cells = nullptr;
 };
 
 // --------------------------------------------------------------------
@@ -165,7 +151,6 @@ RaceChecker::RaceChecker(const RaceConfig& cfg) : cfg_(cfg)
     procVC_.assign(std::size_t(cfg_.nprocs) * cfg_.nprocs, 0);
     for (int p = 0; p < cfg_.nprocs; ++p)
         procVC_[std::size_t(p) * cfg_.nprocs + p] = 1;
-    dir_.resize(64);
 }
 
 RaceChecker::~RaceChecker() = default;
@@ -174,46 +159,18 @@ RaceChecker::~RaceChecker() = default;
 // Shadow memory
 // --------------------------------------------------------------------
 
-/** The directory slot holding @p key, or the empty slot where it
- *  belongs. */
-std::size_t
-RaceChecker::dirSlot(Addr key) const
-{
-    const std::size_t mask = dir_.size() - 1;
-    std::size_t i = hashPage(key) & mask;
-    while (dir_[i].key != 0 && dir_[i].key != key)
-        i = (i + 1) & mask;
-    return i;
-}
-
-/** The page with directory key @p key, created zeroed on first use.
- *  The directory grows only here, when a page is created. */
-RaceChecker::Cell*
-RaceChecker::page(Addr key)
-{
-    std::size_t i = dirSlot(key);
-    if (dir_[i].key == key)
-        return dir_[i].cells;
-    if ((pages_.size() + 1) * 10 >= dir_.size() * 7) {
-        std::vector<DirSlot> old(dir_.size() * 2);
-        old.swap(dir_);
-        for (const DirSlot& d : old)
-            if (d.key != 0)
-                dir_[dirSlot(d.key)] = d;
-        i = dirSlot(key);
-    }
-    pages_.push_back(std::make_unique<Cell[]>(std::size_t(1) << kPageBits));
-    dir_[i] = {key, pages_.back().get()};
-    return dir_[i].cells;
-}
-
+/** The cell of @p granule.  Its page is created zeroed on first use;
+ *  the map is consulted only when the page differs from the last. */
 inline RaceChecker::Cell&
 RaceChecker::cell(Addr granule)
 {
-    const Addr key = (granule >> kPageBits) + 1;
-    if (key != lastKey_) {
-        lastPage_ = page(key);
-        lastKey_ = key;
+    const Addr index = granule >> kPageBits;
+    if (index != lastIndex_) {
+        std::unique_ptr<Cell[]>& p = pages_[index];
+        if (p == nullptr)
+            p = std::make_unique<Cell[]>(std::size_t(1) << kPageBits);
+        lastPage_ = p.get();
+        lastIndex_ = index;
     }
     return lastPage_[granule & kPageMask];
 }

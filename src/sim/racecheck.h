@@ -32,13 +32,13 @@
  * Shadow layout: paged shadow memory, as in TSan and Valgrind.  A page
  * holds 2^10 consecutive granules as a dense array of 32-byte cells
  * {w, r, wLt, rLt}: the last-write and read epochs and the logical
- * times reports cite.  A small open-addressed directory maps page
- * index + 1 to its page, and the page of the last lookup is cached,
- * so the next granule of an 8-byte access or a streamed array costs
- * one compare and usually shares the cache line.  A read-shared
- * granule's read vector clock lives in a recycled pool; its cell's r
- * holds kReadVC | pool index, with bit 63 set, which no epoch sets,
- * so the same-epoch read test stays `r == epoch`.
+ * times reports cite.  A hash map keyed by page index finds the page,
+ * and the page of the last lookup is cached, so the next granule of
+ * an 8-byte access or a streamed array costs one compare and usually
+ * shares the cache line.  A read-shared granule's read vector clock
+ * lives in a recycled pool; its cell's r holds kReadVC | pool index,
+ * with bit 63 set, which no epoch sets, so the same-epoch read test
+ * stays `r == epoch`.
  *
  * Shadow granularity is the knob that turns the verifier into the
  * false-sharing census:
@@ -71,6 +71,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -229,11 +230,8 @@ class RaceChecker final : public RefSink
 
   private:
     struct Cell;
-    struct DirSlot;
 
     Cell& cell(Addr granule);
-    Cell* page(Addr key);
-    std::size_t dirSlot(Addr key) const;
     std::vector<std::uint32_t>& objClock(std::uint32_t obj);
     void checkGranule(Addr g, const AccessRec& r);
     void report(Addr g, const RaceAccess& prev, const AccessRec& cur);
@@ -247,12 +245,11 @@ class RaceChecker final : public RefSink
     /** Per-sync-object clocks L_m, grown on first use. */
     std::vector<std::vector<std::uint32_t>> objVC_;
 
-    /** Shadow pages of 2^10 cells, found through an
-     *  open-addressed directory keyed by page index + 1; the page of
-     *  the last lookup is cached. */
-    std::vector<std::unique_ptr<Cell[]>> pages_;
-    std::vector<DirSlot> dir_;
-    Addr lastKey_ = 0;
+    /** Shadow pages of 2^10 cells by page index (granule >> 10);
+     *  the page of the last lookup is cached.  No granule index is
+     *  all ones, so the cache starts empty. */
+    std::unordered_map<Addr, std::unique_ptr<Cell[]>> pages_;
+    Addr lastIndex_ = ~Addr(0);
     Cell* lastPage_ = nullptr;
     /** Cells that have left the all-zero state. */
     std::uint64_t tracked_ = 0;

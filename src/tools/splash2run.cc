@@ -54,10 +54,10 @@
  * between one execution per configuration and one broadcast
  * execution; those change simulation speed only -- output bytes are
  * identical for any job count and replica mode.  A flag splash2run
- * does not know is rejected (exit 2), and so is one its chosen driver
- * never reads: --sweep with --race, --protocol or --check, and
- * --nomem with --protocol, --check or --interconnect (--nomem --race
- * is fine: the PRAM run attaches the detector).
+ * does not know is rejected (exit 2), and so is a non-default value
+ * its chosen driver never reads: --sweep with --race, --protocol or
+ * --check, and --nomem with --protocol, --check or --interconnect bus
+ * (--nomem --race is fine: the PRAM run attaches the detector).
  */
 #include <algorithm>
 #include <cstdio>

@@ -281,15 +281,15 @@ TEST(EngineOpts, ModeConflictMatrixRejected)
     // The working-set sweep models cache capacity only.
     EXPECT_FALSE(parseAndCheck({"--interconnect", "bus", "--sweep",
                                 "exact"}));
-    // A flag the chosen driver never reads: the sweep has no detector
-    // or coherence state, the --nomem PRAM run no machine.
+    // A non-default value the chosen driver never reads: the sweep has
+    // no detector or coherence state, the --nomem PRAM run no machine.
     const std::vector<std::vector<std::string>> unread = {
         {"--sweep", "exact", "--race", "word"},
         {"--sweep", "model", "--protocol", "dragon"},
         {"--sweep", "both", "--check", "5"},
         {"--nomem", "1", "--protocol", "dragon"},
         {"--nomem", "1", "--check", "5"},
-        {"--nomem", "1", "--interconnect", "directory"},
+        {"--nomem", "1", "--interconnect", "bus"},
     };
     for (const auto& combo : unread)
         EXPECT_FALSE(parseAndCheck(combo)) << combo[0] << " " << combo[2];
@@ -311,6 +311,33 @@ TEST(EngineOpts, ModeConflictMatrixRejected)
                                "--sweep", "exact"}));
     EXPECT_TRUE(parseAndCheck({"--nomem", "1", "--race", "word"}));
     EXPECT_TRUE(parseAndCheck({"--sweep", "both", "--replicas", "off"}));
+}
+
+// The rule for a flag the chosen driver never reads is by value, not
+// by presence, for every such flag: a default value changes nothing
+// and is accepted, exactly as --interconnect directory is with
+// --sweep, while any other value is rejected.
+TEST(EngineOpts, UnreadFlagsRejectedByValueNotPresence)
+{
+    const std::vector<std::vector<std::string>> defaults = {
+        {"--sweep", "exact", "--race", "off"},
+        {"--sweep", "model", "--protocol", "mesi"},
+        {"--sweep", "both", "--check", "0"},
+        {"--sweep", "exact", "--interconnect", "directory"},
+        {"--nomem", "1", "--protocol", "mesi"},
+        {"--nomem", "1", "--check", "0"},
+        {"--nomem", "1", "--interconnect", "directory"},
+    };
+    for (const auto& combo : defaults) {
+        EXPECT_TRUE(parseAndCheck(combo)) << combo[0] << " " << combo[2];
+        std::vector<std::string> other = combo;
+        other[3] = combo[2] == "--race"       ? "line"
+                   : combo[2] == "--protocol" ? "msi"
+                   : combo[2] == "--check"    ? "1"
+                                              : "bus";
+        EXPECT_FALSE(parseAndCheck(other))
+            << other[0] << " " << other[2] << " " << other[3];
+    }
 }
 
 // All contradictory combinations -- including the two rejected inside

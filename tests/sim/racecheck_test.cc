@@ -378,7 +378,7 @@ namespace {
 
 /** FastTrack with its shadow state in a std::map keyed by granule and
  *  epochs as plain (proc, clock) pairs: none of the checker's storage
- *  layout (pages, directory, read-VC bit encoding, pool).  Any
+ *  layout (pages, page map, read-VC bit encoding, pool).  Any
  *  divergence in outcome is a fault of that layout. */
 class RefChecker
 {
